@@ -167,14 +167,30 @@ def _parse_float(token: str, field: str) -> float:
 
 def read_raw_csv(path):
     """Read header and raw data rows (lists of strings) from a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: file is empty, expected a header row") from None
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError:
+        raise SchemaError(_utf8_error(path)) from None
     return header, rows
+
+
+def _utf8_error(path) -> str:
+    # The decoder's own position is relative to the chunk it was reading, so
+    # decode the whole file once more to locate the byte in the file.
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: not UTF-8 at byte {exc.start} (line {line}): {exc.reason}"
+    return f"{path}: not UTF-8"
 
 
 def map_header(header, require_label: bool = True) -> dict[str, int]:

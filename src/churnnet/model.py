@@ -2,16 +2,19 @@
 
 Training searches single-hidden-layer topologies over a configurable width
 range. Every candidate trains on the same train/holdout partition with its
-own deterministically derived init stream, monitors holdout accuracy after
-each epoch, and keeps the best-scoring snapshot (patience-based early stop).
-The winner is the candidate with the highest holdout accuracy, smaller
-hidden layer on ties.
+own deterministically derived init and shuffle streams, monitors holdout
+accuracy after each epoch, and keeps the best-scoring snapshot
+(patience-based early stop). The candidates train in lockstep, one online
+step each at a time, bit-identically to training each on its own. The
+winner is the candidate with the highest holdout accuracy, smaller hidden
+layer on ties.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -20,10 +23,11 @@ from . import data
 from .errors import ConfigError, EvaluationError, TrainingError
 from .network import (
     LearningParams,
+    LockstepBatch,
     Network,
     forward_batch,
     init_network,
-    train_example,
+    train_example,  # noqa: F401  the reference step; perfbench/layers.py wraps it here
 )
 
 log = logging.getLogger(__name__)
@@ -136,36 +140,71 @@ def _accuracy(net: Network, features: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted_classes(net, features) == labels))
 
 
-def _train_candidate(hidden, x_train, t_train, x_hold, y_hold, config):
-    feature_width = x_train.shape[1]
-    init_seed, shuffle_seed = _candidate_seeds(config.seed, hidden)
-    net = init_network([feature_width, hidden, 2], init_seed)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    params = config.params
+@dataclass
+class _Candidate:
+    """Search state of one hidden-layer width."""
 
-    best_net = net.copy()
-    best_acc = _accuracy(net, x_hold, y_hold)
-    best_epoch = 0
-    stale = 0
-    epoch = 0
+    hidden: int
+    shuffle_rng: np.random.Generator
+    best_net: Network
+    best_acc: float
+    best_epoch: int = 0
+    stale: int = 0
+    epochs_run: int = 0
+
+    @property
+    def result(self) -> CandidateResult:
+        return CandidateResult(self.hidden, self.epochs_run, self.best_epoch, self.best_acc)
+
+
+def _search(x_train, t_train, x_hold, y_hold, config) -> list[_Candidate]:
+    """Train every width of ``config.hidden_range`` in one lockstep batch.
+
+    Each epoch, every width still running draws its own example order,
+    then all of them step through their orders together. After the epoch
+    each is checked and scored on the holdout on its own; a width whose
+    patience runs out leaves the batch, which is rebuilt from the others.
+    Returns the candidates in width order.
+    """
+    lo, hi = config.hidden_range
+    candidates, nets = [], []
+    for hidden in range(lo, hi + 1):
+        init_seed, shuffle_seed = _candidate_seeds(config.seed, hidden)
+        net = init_network([x_train.shape[1], hidden, 2], init_seed)
+        candidates.append(_Candidate(
+            hidden, np.random.default_rng(shuffle_seed), net.copy(),
+            _accuracy(net, x_hold, y_hold),
+        ))
+        nets.append(net)
+    params = config.params
+    active = candidates
+    batch = LockstepBatch(nets)
     for epoch in range(1, config.max_epochs + 1):
-        for i in shuffle_rng.permutation(len(x_train)):
-            train_example(net, x_train[i], t_train[i], params)
-        if not net.all_finite():
-            raise TrainingError(
-                f"non-finite parameter after epoch {epoch} (hidden={hidden}); "
-                "lower eta or alpha"
-            )
-        acc = _accuracy(net, x_hold, y_hold)
-        if acc > best_acc:
-            best_acc, best_epoch, best_net = acc, epoch, net.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    result = CandidateResult(hidden, epoch, best_epoch, best_acc)
-    return result, best_net
+        orders = [c.shuffle_rng.permutation(len(x_train)) for c in active]
+        batch.train_epoch(x_train, t_train, orders, params)
+        running = []
+        for c, net in zip(active, batch.networks):
+            if not net.all_finite():
+                raise TrainingError(
+                    f"non-finite parameter after epoch {epoch} (hidden={c.hidden}); "
+                    "lower eta or alpha"
+                )
+            c.epochs_run = epoch
+            acc = _accuracy(net, x_hold, y_hold)
+            if acc > c.best_acc:
+                c.best_acc, c.best_epoch, c.best_net = acc, epoch, net.copy()
+                c.stale = 0
+            else:
+                c.stale += 1
+                if c.stale >= config.patience:
+                    continue
+            running.append((c, net))
+        if not running:
+            break
+        if len(running) < len(active):
+            active = [c for c, _ in running]
+            batch = LockstepBatch([net for _, net in running])
+    return candidates
 
 
 def train(records, config: TrainingConfig) -> TrainedModel:
@@ -189,31 +228,27 @@ def train(records, config: TrainingConfig) -> TrainedModel:
     x_hold, _ = data.encode_features(hold_recs, schema)
     y_hold = np.array([r.churn for r in hold_recs], dtype=bool)
 
-    lo, hi = config.hidden_range
-    candidates: list[CandidateResult] = []
+    searched = _search(x_train, t_train, x_hold, y_hold, config)
     winner = None
-    winner_net = None
-    for hidden in range(lo, hi + 1):
-        result, net = _train_candidate(hidden, x_train, t_train, x_hold, y_hold, config)
-        candidates.append(result)
+    for c in searched:
         log.info(
             "candidate hidden=%d: holdout accuracy %.4f (best epoch %d, ran %d)",
-            hidden, result.holdout_accuracy, result.best_epoch, result.epochs_run,
+            c.hidden, c.best_acc, c.best_epoch, c.epochs_run,
         )
-        if winner is None or result.holdout_accuracy > winner.holdout_accuracy:
-            winner, winner_net = result, net
+        if winner is None or c.best_acc > winner.best_acc:
+            winner = c
 
     summary = TrainingSummary(
         epochs_run=winner.epochs_run,
         best_epoch=winner.best_epoch,
-        holdout_accuracy=winner.holdout_accuracy,
+        holdout_accuracy=winner.best_acc,
         seed=config.seed,
         n_train=len(train_recs),
         n_holdout=len(hold_recs),
-        candidates=candidates,
+        candidates=[c.result for c in searched],
     )
     topology = [schema.feature_width, winner.hidden, 2]
-    return TrainedModel(winner_net, schema, topology, config, summary)
+    return TrainedModel(winner.best_net, schema, topology, config, summary)
 
 
 def classify_outputs(outputs) -> tuple[bool, float]:
@@ -366,16 +401,61 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+def _finite_float(token: str) -> float:
+    # Parses every JSON number and the NaN/Infinity extensions json accepts.
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value {token}")
+    return value
+
+
 def load_model(path) -> TrainedModel:
-    """Inverse of save_model; momentum buffers come back zeroed."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Inverse of save_model; momentum buffers come back zeroed.
+
+    Raises ConfigError, naming the file, unless the file is a whole model:
+    valid JSON with every key, only finite numbers, a topology of
+    ``[feature_width, h, 2]`` and weights and thresholds of those shapes.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{path}: not a model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a model file: top level is not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported model format version {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}"
         )
+    try:
+        loaded = _model_from_dict(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: model file lacks key {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{path}: malformed model file: {exc}") from None
+
+    width, topology = loaded.schema.feature_width, loaded.topology
+    if len(topology) != 3 or topology[0] != width or topology[2] != 2 or topology[1] < 1:
+        raise ConfigError(f"{path}: topology {topology} is not [{width}, h, 2]")
+    net = loaded.network
+    want = list(zip(topology[:-1], topology[1:]))
+    got_w = [w.shape for w in net.weights]
+    got_t = [t.shape for t in net.thresholds]
+    if got_w != want or got_t != [(n,) for _, n in want]:
+        raise ConfigError(
+            f"{path}: weight shapes {got_w} and threshold shapes {got_t} do not fit "
+            f"topology {topology}"
+        )
+    return loaded
+
+
+def _model_from_dict(doc: dict) -> TrainedModel:
     cfg = doc["config"]
     config = TrainingConfig(
         eta=cfg["eta"],

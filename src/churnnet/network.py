@@ -229,6 +229,218 @@ def train_example(net: Network, inputs, target, params: LearningParams) -> float
     return err
 
 
+def _sigmoid_into(z, out, high, low, one) -> None:
+    """:func:`sigmoid` of ``z`` written to ``out``, overwriting ``z``.
+
+    ``high``, ``low`` and ``one`` hold SIGMOID_CLAMP, -SIGMOID_CLAMP and 1.0
+    in every element. The operations and their order are those of
+    :func:`sigmoid`, so the bits are too: minimum then maximum returns
+    exactly what ``np.clip`` does, at less than half its call overhead, and
+    an array operand is cheaper to pass than a Python float.
+    """
+    np.minimum(z, high, out=z)
+    np.maximum(z, low, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(one, z, out=z)
+    np.divide(one, z, out=out)
+
+
+class LockstepBatch:
+    """Several ``[n_in, h, n_out]`` networks trained by online steps together.
+
+    At every step each member takes one example of its own, so members keep
+    independent example orders; the result is bit-identical to calling
+    :func:`train_example` on each member in turn. Members may differ in
+    hidden width only.
+
+    All parameters live in one flat float64 buffer (every member's hidden
+    weights, then every member's hidden thresholds, then output weights, then
+    output thresholds), each member's block C-contiguous and of the member's
+    own shape; the momentum buffers mirror it. The three products per member
+    and step go to the same BLAS routine with the same arguments as the
+    ``@`` in :func:`forward` and :func:`hidden_deltas`. Every elementwise
+    operation runs once over all members, in the reference's order; gathers
+    through precomputed index arrays line up its operands, and thresholds
+    update as weights from a constant 1.0 input (1.0 * delta is delta
+    exactly). Widths are not zero-padded to a common size, because BLAS
+    rounds products over a few columns differently inside a larger matrix.
+
+    ``networks`` gives each member as a :class:`Network` whose arrays are
+    views of the flat buffers: it always shows the live state, and
+    ``Network.copy`` of it is a snapshot. Building a batch copies the given
+    networks' parameters and momentum buffers in; to drop members, build a
+    new batch from the ``networks`` that remain.
+    """
+
+    # Example positions whose inputs and targets train_epoch gathers at once,
+    # which bounds its scratch memory for any number of examples.
+    _CHUNK = 256
+
+    def __init__(self, nets):
+        nets = list(nets)
+        if not nets:
+            raise ConfigError("a lockstep batch needs at least one network")
+        n_in, n_out = nets[0].layer_sizes[0], nets[0].layer_sizes[-1]
+        for net in nets:
+            sizes = net.layer_sizes
+            if len(sizes) != 3 or (sizes[0], sizes[2]) != (n_in, n_out):
+                raise ConfigError(
+                    f"lockstep members must all be [{n_in}, h, {n_out}] networks, got {sizes}"
+                )
+        hidden = [net.layer_sizes[1] for net in nets]
+        n_nets, h_total, o_total = len(nets), sum(hidden), len(nets) * n_out
+        starts = np.cumsum([0] + hidden[:-1]).tolist()
+        w1_at, t1_at, w2_at, t2_at, size = np.cumsum(
+            [0, n_in * h_total, h_total, h_total * n_out, o_total]
+        ).tolist()
+        self._params = np.empty(size)
+        self._prev = np.empty(size)
+        self._hidden_thresholds = self._params[t1_at:w2_at]
+        self._output_thresholds = self._params[t2_at:]
+
+        # Upstream operands of the update: every member's input, hidden and
+        # output activations, and the constant 1.0 that thresholds multiply.
+        self._upstream = np.empty(n_nets * n_in + h_total + o_total + 1)
+        self._upstream[-1] = 1.0
+        one_at = self._upstream.size - 1
+        self._inputs = self._upstream[: n_nets * n_in].reshape(n_nets, n_in)
+        self._activations = self._upstream[n_nets * n_in : -1]
+        self._hidden = self._activations[:h_total]
+        self._output = self._activations[h_total:]
+        self._slopes = np.empty(h_total + o_total)  # y (1 - y) of every activation
+        self._deltas = np.empty(h_total + o_total)
+        self._z_hidden = np.empty(h_total)
+        self._z_output = np.empty(o_total)
+        self._back = np.empty(h_total)  # W2 @ output deltas
+        self._step = np.empty(size)
+        self._step_deltas = np.empty(size)
+        # Constant operands as arrays: a Python float costs more to pass per call.
+        self._high = np.full(size, SIGMOID_CLAMP)
+        self._low = np.full(size, -SIGMOID_CLAMP)
+        self._one = np.ones(size)
+
+        self.networks: list[Network] = []
+        # Per member, (a.dot, b, out) of each BLAS product; the bound method
+        # skips np.dot's dispatch, which costs more than the product.
+        self._forward_hidden, self._forward_output, self._backward_hidden = [], [], []
+        up_index, delta_index = [[], [], [], []], [[], [], [], []]
+        for k, (net, h, s) in enumerate(zip(nets, hidden, starts)):
+            o = k * n_out
+            views = [
+                (
+                    buf[w1_at + n_in * s : w1_at + n_in * (s + h)].reshape(n_in, h),
+                    buf[t1_at + s : t1_at + s + h],
+                    buf[w2_at + n_out * s : w2_at + n_out * (s + h)].reshape(h, n_out),
+                    buf[t2_at + o : t2_at + o + n_out],
+                )
+                for buf in (self._params, self._prev)
+            ]
+            (w1, t1, w2, t2), (pw1, pt1, pw2, pt2) = views
+            w1[...], w2[...] = net.weights
+            t1[...], t2[...] = net.thresholds
+            pw1[...], pw2[...] = net.prev_weight_update
+            pt1[...], pt2[...] = net.prev_threshold_update
+            self.networks.append(
+                Network([n_in, h, n_out], [w1, w2], [t1, t2], [pw1, pw2], [pt1, pt2])
+            )
+            self._forward_hidden.append((self._inputs[k].dot, w1, self._z_hidden[s : s + h]))
+            self._forward_output.append(
+                (self._hidden[s : s + h].dot, w2, self._z_output[o : o + n_out])
+            )
+            self._backward_hidden.append(
+                (w2.dot, self._deltas[h_total + o : h_total + o + n_out], self._back[s : s + h])
+            )
+
+            # Weight (i, j) moves by eta * upstream[i] * delta[j].
+            in_at = np.arange(k * n_in, (k + 1) * n_in)
+            hid_at = n_nets * n_in + np.arange(s, s + h)
+            hid_delta = np.arange(s, s + h)
+            out_delta = h_total + np.arange(o, o + n_out)
+            up_index[0].append(np.repeat(in_at, h))
+            delta_index[0].append(np.tile(hid_delta, n_in))
+            up_index[1].append(np.full(h, one_at))
+            delta_index[1].append(hid_delta)
+            up_index[2].append(np.repeat(hid_at, n_out))
+            delta_index[2].append(np.tile(out_delta, h))
+            up_index[3].append(np.full(n_out, one_at))
+            delta_index[3].append(out_delta)
+        self._up_index = np.concatenate(sum(up_index, []))
+        self._delta_index = np.concatenate(sum(delta_index, []))
+
+    def train_epoch(self, inputs, targets, orders, params: LearningParams) -> None:
+        """Step every member through its own order of examples.
+
+        ``orders`` has one row per member, each a sequence of row indices
+        into ``inputs`` (one input vector per row) and ``targets``; at
+        position ``p`` member ``k`` trains on example ``orders[k][p]``.
+        """
+        x = np.ascontiguousarray(inputs, dtype=float)
+        t = np.ascontiguousarray(targets, dtype=float)
+        steps = np.asarray(orders, dtype=np.intp)
+        n_nets, n_in = self._inputs.shape
+        n_out = self._output.size // n_nets
+        if x.ndim != 2 or x.shape[1] != n_in or t.shape != (len(x), n_out):
+            raise ShapeError(
+                f"inputs {x.shape} and targets {t.shape} do not fit "
+                f"[{n_in}, h, {n_out}] networks"
+            )
+        if steps.ndim != 2 or steps.shape[0] != n_nets:
+            raise ShapeError(f"orders have shape {steps.shape}, expected ({n_nets}, *)")
+        if steps.size and not (steps.min() >= 0 and steps.max() < len(x)):
+            raise ShapeError(f"orders index outside the {len(x)} examples")
+
+        xs, act, hid, y = self._inputs, self._activations, self._hidden, self._output
+        z1, z2, slopes, deltas, back = (
+            self._z_hidden, self._z_output, self._slopes, self._deltas, self._back
+        )
+        h_total = hid.size
+        slopes1, slopes2 = slopes[:h_total], slopes[h_total:]
+        d1, d2 = deltas[:h_total], deltas[h_total:]
+        t1, t2 = self._hidden_thresholds, self._output_thresholds
+        upstream, up_index, delta_index = self._upstream, self._up_index, self._delta_index
+        step, step_deltas, prev, theta = self._step, self._step_deltas, self._prev, self._params
+        fw1, fw2, bw1 = self._forward_hidden, self._forward_output, self._backward_hidden
+        eta, alpha = np.full(theta.size, params.eta), np.full(theta.size, params.alpha)
+        high, low, one = self._high, self._low, self._one
+        sig1 = high[:h_total], low[:h_total], one[:h_total]
+        sig2 = high[: y.size], low[: y.size], one[: y.size]
+        one_act = one[: act.size]
+
+        by_position = steps.T
+        for begin in range(0, len(by_position), self._CHUNK):
+            chunk = by_position[begin : begin + self._CHUNK]
+            for x_step, t_step in zip(x[chunk], t[chunk].reshape(len(chunk), -1)):
+                xs[...] = x_step
+                # forward: a1 = sigmoid(x @ W1 + t1), y = sigmoid(a1 @ W2 + t2)
+                for a_dot, w, out in fw1:
+                    a_dot(w, out)
+                z1 += t1
+                _sigmoid_into(z1, hid, *sig1)
+                for a_dot, w, out in fw2:
+                    a_dot(w, out)
+                z2 += t2
+                _sigmoid_into(z2, y, *sig2)
+                # deltas: y (1 - y) (t - y) at the output, a1 (1 - a1) (W2 @ d2) hidden
+                np.subtract(one_act, act, out=slopes)
+                np.multiply(act, slopes, out=slopes)
+                np.subtract(t_step, y, out=d2)
+                np.multiply(slopes2, d2, out=d2)
+                for w_dot, d, out in bw1:
+                    w_dot(d, out)
+                np.multiply(slopes1, back, out=d1)
+                # momentum: dw = eta * (a * d) + alpha * prev; w += dw; prev = dw
+                # (mode="clip" lets take write straight to out; the indices
+                # are in range by construction)
+                upstream.take(up_index, out=step, mode="clip")
+                deltas.take(delta_index, out=step_deltas, mode="clip")
+                np.multiply(step, step_deltas, out=step)
+                np.multiply(eta, step, out=step)
+                np.multiply(alpha, prev, out=prev)
+                np.add(step, prev, out=prev)
+                np.add(theta, prev, out=theta)
+
+
 def numeric_gradient(net: Network, inputs, target, epsilon: float = 1e-5):
     """Central-difference gradient of the squared error for every parameter.
 

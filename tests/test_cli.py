@@ -190,6 +190,35 @@ class TestPredict:
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 31
 
+    def test_non_utf8_input_fails_cleanly(self, small_records, model_file, tmp_path, capsys):
+        import dataclasses
+
+        unlabeled = [dataclasses.replace(r, churn=None) for r in small_records[:30]]
+        csv_path = tmp_path / "latin1.csv"
+        data.write_csv(unlabeled, csv_path)
+        last_row = ",".join(data.record_to_row(unlabeled[0])).encode()
+        bad_at = csv_path.stat().st_size + len(last_row)
+        with open(csv_path, "ab") as fh:
+            fh.write(last_row + b"\xff\r\n")
+        code, _, err = run(
+            capsys, "predict", "--data", str(csv_path), "--model", str(model_file),
+            "--out", str(tmp_path / "scored.csv"),
+        )
+        assert code == 1
+        assert f"error: {csv_path}: not UTF-8 at byte {bad_at} (line 32)" in err
+
+    def test_non_finite_model_fails_cleanly(self, small_csv, model_file, tmp_path, capsys):
+        doc = json.loads(model_file.read_text())
+        doc["weights"][0][0][0] = float("nan")
+        broken = tmp_path / "nan.json"
+        broken.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "predict", "--data", str(small_csv), "--model", str(broken),
+            "--out", str(tmp_path / "scored.csv"),
+        )
+        assert code == 1
+        assert "error: " in err and "non-finite" in err
+
     def test_input_not_mutated(self, small_csv, model_file, tmp_path, capsys):
         before = open(small_csv, "rb").read()
         run(

@@ -21,7 +21,9 @@ from churnnet import (
     save_model,
     train,
 )
-from churnnet.model import classify_outputs
+from churnnet import model
+from churnnet.model import CandidateResult, classify_outputs
+from churnnet.network import init_network, train_example
 
 
 class TestTrainingConfig:
@@ -90,6 +92,54 @@ class TestTrain:
         with pytest.raises(TrainingError, match="non-finite"):
             train(small_records, TrainingConfig(max_epochs=2, patience=1,
                                                 hidden_range=(3, 3)))
+
+    @pytest.mark.parametrize("max_epochs,patience", [(4, 10), (30, 6)])
+    def test_lockstep_search_matches_independent_runs(
+        self, small_records, max_epochs, patience
+    ):
+        # Widths 1-8 searched together must give each width the result, the
+        # best snapshot and the momentum buffers of training it on its own.
+        # With patience 6 the widths stop between epochs 6 and 22, so the
+        # batch is repacked while the others keep going.
+        cfg = TrainingConfig(max_epochs=max_epochs, patience=patience,
+                             hidden_range=(1, 8), seed=0)
+        train_recs, hold_recs = data.split(small_records, cfg.holdout_fraction, cfg.seed)
+        schema = data.fit_schema(train_recs)
+        x_train, _ = data.encode_features(train_recs, schema)
+        t_train = np.array([data.one_hot_target(r.churn) for r in train_recs])
+        x_hold, _ = data.encode_features(hold_recs, schema)
+        y_hold = np.array([r.churn for r in hold_recs], dtype=bool)
+
+        searched = model._search(x_train, t_train, x_hold, y_hold, cfg)
+        assert [c.hidden for c in searched] == list(range(1, 9))
+        epochs = {c.epochs_run for c in searched}
+        if patience < max_epochs:
+            assert len(epochs) > 3 and max(c.best_epoch for c in searched) > patience
+        else:
+            assert epochs == {max_epochs}
+
+        for c in searched:
+            init_seed, shuffle_seed = model._candidate_seeds(cfg.seed, c.hidden)
+            net = init_network([x_train.shape[1], c.hidden, 2], init_seed)
+            order_rng = np.random.default_rng(shuffle_seed)
+            best_net, best_acc = net.copy(), model._accuracy(net, x_hold, y_hold)
+            best_epoch = stale = 0
+            for epoch in range(1, cfg.max_epochs + 1):
+                for i in order_rng.permutation(len(x_train)):
+                    train_example(net, x_train[i], t_train[i], cfg.params)
+                acc = model._accuracy(net, x_hold, y_hold)
+                if acc > best_acc:
+                    best_net, best_acc, best_epoch, stale = net.copy(), acc, epoch, 0
+                else:
+                    stale += 1
+                    if stale >= cfg.patience:
+                        break
+            assert c.result == CandidateResult(c.hidden, epoch, best_epoch, best_acc)
+            for name in ("weights", "thresholds", "prev_weight_update",
+                         "prev_threshold_update"):
+                for a, b in zip(getattr(c.best_net, name), getattr(best_net, name),
+                                strict=True):
+                    assert np.array_equal(a, b), (c.hidden, name)
 
     def test_degenerate_range_single_candidate(self, small_records):
         cfg = TrainingConfig(max_epochs=2, patience=1, hidden_range=(4, 4), seed=3)
@@ -278,3 +328,68 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="version"):
             load_model(path)
+
+
+def _nan_weight(doc):
+    doc["weights"][0][0][0] = float("nan")
+
+
+def _infinite_bound(doc):
+    doc["schema"]["numeric_bounds"]["account_length"][1] = float("inf")
+
+
+def _short_first_matrix(doc):
+    doc["weights"][0].pop()
+
+
+def _long_threshold_vector(doc):
+    doc["thresholds"][1].append(0.0)
+
+
+def _three_outputs(doc):
+    doc["topology"][2] = 3
+
+
+def _topology_off_schema(doc):
+    doc["topology"][0] += 1
+
+
+def _missing_summary(doc):
+    del doc["summary"]
+
+
+def _missing_weights(doc):
+    del doc["weights"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_weight, _infinite_bound, _short_first_matrix, _long_threshold_vector,
+    _three_outputs, _topology_off_schema, _missing_summary, _missing_weights,
+])
+def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
+    path = tmp_path / "model.json"
+    save_model(quick_model, path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="model.json"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+def test_load_rejects_non_model_text(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="model.json"):
+        load_model(path)
+
+
+def test_load_rejects_number_that_overflows(quick_model, tmp_path):
+    # 1e999 is valid JSON but parses to infinity
+    path = tmp_path / "model.json"
+    save_model(quick_model, path)
+    doc = json.loads(path.read_text())
+    doc["thresholds"][1][0] = 0.125
+    path.write_text(json.dumps(doc).replace("0.125", "1e999"))
+    with pytest.raises(ConfigError, match="1e999"):
+        load_model(path)

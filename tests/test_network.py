@@ -21,7 +21,7 @@ from churnnet import (
     squared_error,
     train_example,
 )
-from churnnet.network import apply_updates, hidden_deltas, output_deltas
+from churnnet.network import LockstepBatch, apply_updates, hidden_deltas, output_deltas
 
 
 def reference_net() -> Network:
@@ -300,3 +300,92 @@ def test_xor_quick_convergence():
         if mse < 0.05:
             break
     assert mse < 0.05
+
+
+def assert_same_network(a: Network, b: Network):
+    """Every weight, threshold and momentum buffer equal bit for bit."""
+    assert a.layer_sizes == b.layer_sizes
+    for name in ("weights", "thresholds", "prev_weight_update", "prev_threshold_update"):
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert np.array_equal(x, y), name
+
+
+class TestLockstepBatch:
+    # Widths 1-3 are where BLAS rounds a product inside a wider matrix
+    # differently from the same product on its own.
+    WIDTHS = (1, 2, 3, 8)
+
+    @staticmethod
+    def examples(n=60, n_in=20, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, n_in))
+        t = np.eye(2)[rng.integers(0, 2, n)]
+        return x, t
+
+    @staticmethod
+    def reference_epoch(nets, x, t, orders, params):
+        for net, order in zip(nets, orders):
+            for i in order:
+                train_example(net, x[i], t[i], params)
+
+    # Scale 3000 drives pre-activations past the sigmoid clamp.
+    @pytest.mark.parametrize("scale", [1.0, 3000.0])
+    def test_matches_train_example_bit_for_bit(self, scale):
+        x, t = self.examples()
+        x *= scale
+        params = LearningParams(eta=0.3, alpha=0.9)
+        refs = [init_network([x.shape[1], h, 2], seed=10 + h) for h in self.WIDTHS]
+        batch = LockstepBatch(refs)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            orders = [rng.permutation(len(x)) for _ in refs]
+            batch.train_epoch(x, t, orders, params)
+            self.reference_epoch(refs, x, t, orders, params)
+            for ref, member in zip(refs, batch.networks, strict=True):
+                assert_same_network(member, ref)
+
+    def test_rebuilt_batch_continues_each_trajectory(self):
+        # dropping a member repacks the others; their steps must not change
+        x, t = self.examples(seed=2)
+        params = LearningParams(eta=0.5, alpha=0.8)
+        refs = [init_network([x.shape[1], h, 2], seed=h) for h in self.WIDTHS]
+        batch = LockstepBatch(refs)
+        rng = np.random.default_rng(3)
+        for epoch in range(5):
+            if epoch in (2, 4):
+                keep = [0, 2, 3] if epoch == 2 else [0, 2]
+                refs = [refs[i] for i in keep]
+                batch = LockstepBatch([batch.networks[i] for i in keep])
+            orders = [rng.permutation(len(x)) for _ in refs]
+            batch.train_epoch(x, t, orders, params)
+            self.reference_epoch(refs, x, t, orders, params)
+            for ref, member in zip(refs, batch.networks, strict=True):
+                assert_same_network(member, ref)
+
+    def test_build_copies_state_in(self):
+        net = init_network([4, 3, 2], seed=0)
+        net.prev_weight_update[1][:] = 0.25
+        batch = LockstepBatch([net])
+        assert_same_network(batch.networks[0], net)
+        batch.networks[0].weights[0][0, 0] += 1.0
+        assert batch.networks[0].weights[0][0, 0] != net.weights[0][0, 0]
+
+    @pytest.mark.parametrize("sizes", [
+        [[4, 3, 2], [5, 3, 2]],
+        [[4, 3, 2], [4, 3, 1]],
+        [[4, 3, 3, 2]],
+    ])
+    def test_mismatched_members_rejected(self, sizes):
+        with pytest.raises(ConfigError):
+            LockstepBatch([init_network(s, seed=0) for s in sizes])
+
+    @pytest.mark.parametrize("orders", [
+        [[0, 1, 2]],            # one row for two members
+        [[0, 1, 2], [0, 1, 9]],  # example 9 does not exist
+        [[0, 1, 2], [0, -1, 2]],
+    ])
+    def test_bad_orders_rejected(self, orders):
+        x, t = self.examples(n=5, n_in=4)
+        batch = LockstepBatch([init_network([4, h, 2], seed=h) for h in (1, 2)])
+        with pytest.raises(ShapeError):
+            batch.train_epoch(x, t, orders, LearningParams())
