@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import data, model
-from .errors import ChurnNetError, ConfigError, SchemaError
+from .errors import ChurnNetError, ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -36,17 +36,26 @@ _CONFIG_FLAGS = {
     "hidden_max": int,
     "seed": int,
 }
-_DEFAULTS = {
-    "eta": 0.3,
-    "alpha": 0.9,
-    "max_epochs": 200,
-    "patience": 20,
-    "holdout": 0.25,
-    "hidden_min": 3,
-    "hidden_max": 7,
-    "seed": 0,
-    "format": "human",
-}
+
+
+def _defaults() -> dict:
+    """Flag defaults: the training ones as TrainingConfig() has them."""
+    config = model.TrainingConfig()
+    hidden_min, hidden_max = config.hidden_range
+    return {
+        "eta": config.eta,
+        "alpha": config.alpha,
+        "max_epochs": config.max_epochs,
+        "patience": config.patience,
+        "holdout": config.holdout_fraction,
+        "hidden_min": hidden_min,
+        "hidden_max": hidden_max,
+        "seed": config.seed,
+        "format": "human",
+    }
+
+
+_DEFAULTS = _defaults()
 
 
 def _resolve(name: str, flag_value, convert):
@@ -166,30 +175,15 @@ def cmd_predict(args) -> int:
     trained = model.load_model(args.model)
     header, rows = data.read_raw_csv(args.data)
     colmap = data.map_header(header, require_label=False)
-
-    kept_rows: list[list[str]] = []
-    records: list[data.CustomerRecord] = []
-    bad = 0
-    for i, row in enumerate(rows):
-        try:
-            records.append(data.parse_row(row, colmap, i + 2))
-        except ValueError as exc:
-            bad += 1
-            log.warning("%s: skipped line %d: %s", args.data, i + 2, exc)
-            continue
-        kept_rows.append(row)
-    if rows and bad > data.MAX_BAD_ROW_FRACTION * len(rows):
-        raise SchemaError(
-            f"{args.data}: {bad} of {len(rows)} rows failed to parse"
-        )
+    records, kept = data.parse_rows(rows, colmap, args.data)
 
     predictions = model.predict_batch(trained, records)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with data.open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header) + ["N_churn", "NC_churn"])
-        for row, pred in zip(kept_rows, predictions):
+        for i, pred in zip(kept, predictions):
             writer.writerow(
-                list(row)
+                list(rows[i])
                 + ["true" if pred.predicted_churn else "false", repr(pred.confidence)]
             )
     log.info("wrote %d predictions to %s", len(predictions), args.out)

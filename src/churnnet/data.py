@@ -8,9 +8,11 @@ the data ("intl plan", "number vmail messages"...) are accepted as aliases.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 
@@ -235,16 +237,17 @@ def parse_row(row, colmap: dict[str, int], line_no: int) -> CustomerRecord:
     return CustomerRecord(**values)
 
 
-def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
-    """Parse the churn CSV into records.
+def parse_rows(rows, colmap: dict[str, int], source) -> tuple[list[CustomerRecord], list[int]]:
+    """Parse raw data rows under one bad-row policy.
 
-    Malformed rows are skipped with a logged warning carrying their line
-    number; if more than MAX_BAD_ROW_FRACTION of the data rows are bad the
-    whole file is rejected with a SchemaError.
+    Returns the records and the indices in ``rows`` of the rows they came
+    from. Malformed rows are skipped with a logged warning carrying their
+    line number; if more than MAX_BAD_ROW_FRACTION of the rows are bad, the
+    whole input is rejected with a SchemaError naming the first few lines.
+    ``source`` names the input in messages.
     """
-    header, rows = read_raw_csv(path)
-    colmap = map_header(header, require_label=require_label)
     records: list[CustomerRecord] = []
+    kept: list[int] = []
     bad: list[tuple[int, str]] = []
     for i, row in enumerate(rows):
         line_no = i + 2  # header is line 1
@@ -252,15 +255,44 @@ def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
             records.append(parse_row(row, colmap, line_no))
         except ValueError as exc:
             bad.append((line_no, str(exc)))
+            continue
+        kept.append(i)
     if rows and len(bad) > MAX_BAD_ROW_FRACTION * len(rows):
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
         raise SchemaError(
-            f"{path}: {len(bad)} of {len(rows)} rows failed to parse ({detail} ...)"
+            f"{source}: {len(bad)} of {len(rows)} rows failed to parse ({detail} ...)"
         )
     for line_no, msg in bad:
-        log.warning("%s: skipped line %d: %s", path, line_no, msg)
-    log.info("%s: parsed %d records (%d rows skipped)", path, len(records), len(bad))
+        log.warning("%s: skipped line %d: %s", source, line_no, msg)
+    log.info("%s: parsed %d records (%d rows skipped)", source, len(records), len(bad))
+    return records, kept
+
+
+def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
+    """Parse the churn CSV into records, skipping bad rows as parse_rows does."""
+    header, rows = read_raw_csv(path)
+    colmap = map_header(header, require_label=require_label)
+    records, _ = parse_rows(rows, colmap, path)
     return records
+
+
+@contextlib.contextmanager
+def open_atomic(path, newline=None):
+    """Open a UTF-8 text file that replaces ``path`` only once fully written.
+
+    Writes go to a new temporary file in the target's directory, which
+    ``os.replace`` moves onto ``path`` when the block exits normally. If the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def write_csv(records, path) -> None:
@@ -385,20 +417,59 @@ def encode(record: CustomerRecord, schema: EncodingSchema) -> EncodedExample:
     return EncodedExample(np.array(feats), target)
 
 
-def encode_features(records, schema: EncodingSchema):
-    """Encode many records into a feature matrix.
+def feature_columns(schema: EncodingSchema) -> dict[str, slice]:
+    """Columns of each retained field in an encoded matrix, in field order.
 
-    Returns ``(matrix, n_unseen)`` where n_unseen tallies categorical values
-    that were absent from the training data and encoded as all-zero groups.
+    A categorical field spans one column per level, every other field one.
+    Raises ConfigError if the fields do not span ``schema.feature_width``.
     """
+    columns: dict[str, slice] = {}
+    start = 0
+    for f in schema.retained_fields:
+        width = len(schema.categorical_levels[f]) if f in CATEGORICAL_FIELDS else 1
+        columns[f] = slice(start, start + width)
+        start += width
+    if start != schema.feature_width:
+        raise ConfigError(
+            f"encoding schema names {schema.feature_width} features but its "
+            f"fields encode to {start} columns"
+        )
+    return columns
+
+
+def encode_features(records, schema: EncodingSchema):
+    """Encode many records into a feature matrix, one field at a time.
+
+    Gives the same matrix, bit for bit, as stacking ``encode`` of each
+    record. Returns ``(matrix, n_unseen)`` where n_unseen tallies
+    categorical values that were absent from the training data and encoded
+    as all-zero groups.
+    """
+    matrix = np.empty((len(records), schema.feature_width))
     n_unseen = 0
-    for r in records:
-        for f in CATEGORICAL_FIELDS:
-            if getattr(r, f) not in schema.categorical_levels[f]:
-                n_unseen += 1
-    matrix = np.array([encode(r, schema).features for r in records])
-    if not records:
-        matrix = matrix.reshape(0, schema.feature_width)
+    for f, cols in feature_columns(schema).items():
+        values = [getattr(r, f) for r in records]
+        if f in CATEGORICAL_FIELDS:
+            index: dict[str, int] = {}
+            for j, level in enumerate(schema.categorical_levels[f]):
+                index.setdefault(level, j)  # first position, as levels.index gives
+            codes = np.array([index.get(v, -1) for v in values], dtype=np.intp)
+            seen = np.flatnonzero(codes >= 0)
+            block = matrix[:, cols]
+            block[:] = 0.0
+            block[seen, codes[seen]] = 1.0
+            n_unseen += len(values) - len(seen)
+        elif f in BINARY_FIELDS:
+            matrix[:, cols.start] = np.array(values, dtype=bool)
+        else:
+            lo, hi = schema.numeric_bounds[f]
+            if lo == hi:
+                matrix[:, cols.start] = 0.0
+            else:
+                with np.errstate(over="ignore"):  # a tiny hi - lo gives inf, clamped to 1.0
+                    x = (np.array(values, dtype=float) - lo) / (hi - lo)
+                # min(1.0, max(0.0, x)) as in encode; np.clip would keep -0.0
+                matrix[:, cols.start] = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
     if n_unseen:
         log.warning("%d categorical value(s) unseen at fit time, encoded as zeros", n_unseen)
     return matrix, n_unseen

@@ -395,8 +395,9 @@ def save_model(model: TrainedModel, path) -> None:
 
     Floats serialize through repr, so reloading reproduces every weight
     bit-exactly and predictions survive a save/load round trip unchanged.
+    The file is written whole or not at all (see data.open_atomic).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.open_atomic(path) as fh:
         json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -413,7 +414,8 @@ def load_model(path) -> TrainedModel:
     """Inverse of save_model; momentum buffers come back zeroed.
 
     Raises ConfigError, naming the file, unless the file is a whole model:
-    valid JSON with every key, only finite numbers, a topology of
+    valid JSON with every key, only finite numbers, a schema whose fields
+    encode to as many columns as it names features, a topology of
     ``[feature_width, h, 2]`` and weights and thresholds of those shapes.
     """
     try:
@@ -433,6 +435,7 @@ def load_model(path) -> TrainedModel:
         )
     try:
         loaded = _model_from_dict(doc)
+        data.feature_columns(loaded.schema)
     except KeyError as exc:
         raise ConfigError(f"{path}: model file lacks key {exc}") from None
     except ConfigError as exc:

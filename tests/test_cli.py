@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from churnnet import cli, data
+from churnnet import cli, data, model
 
 
 TRAIN_FLAGS = [
@@ -114,6 +114,14 @@ class TestTrain:
         assert code != 0
         assert "CHURNNET_MAX_EPOCHS" in err
 
+    def test_no_flags_resolve_to_training_config_defaults(self, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(name)
+        args = cli.build_parser().parse_args(["train", "--data", "d.csv", "--model", "m.json"])
+        assert cli._training_config(args) == model.TrainingConfig()
+        assert cli._format_of(args) == "human"
+
 
 class TestEvaluate:
     def test_matrix_output(self, small_csv, model_file, capsys):
@@ -218,6 +226,54 @@ class TestPredict:
         )
         assert code == 1
         assert "error: " in err and "non-finite" in err
+
+    def test_too_many_bad_rows_fails_naming_a_line(self, small_records, model_file, tmp_path, capsys):
+        import dataclasses
+
+        unlabeled = [dataclasses.replace(r, churn=None) for r in small_records[:60]]
+        csv_path = tmp_path / "bad.csv"
+        data.write_csv(unlabeled, csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        cells = lines[10].split(",")
+        cells[data.FIELD_NAMES.index("account_length")] = "-5"
+        lines[10] = ",".join(cells)  # line 11
+        lines[20] = lines[20].rsplit(",", 3)[0]  # line 21, truncated
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "scored.csv"
+        code, _, err = run(
+            capsys, "predict", "--data", str(csv_path), "--model", str(model_file),
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert "2 of 60 rows failed to parse" in err
+        assert "line 11: " in err and "line 21: " in err
+        assert not out_path.exists()
+
+    def test_failed_write_keeps_previous_output(
+        self, small_csv, model_file, tmp_path, capsys, monkeypatch
+    ):
+        class DiskFull:
+            predicted_churn = False
+
+            @property
+            def confidence(self):
+                raise OSError(28, "No space left on device")
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir / "scored.csv"
+        out_path.write_text("previous\n", encoding="utf-8")
+        monkeypatch.setattr(
+            model, "predict_batch",
+            lambda trained, records: [model.Prediction(False, 0.5), DiskFull()],
+        )
+        code, _, err = run(
+            capsys, "predict", "--data", str(small_csv), "--model", str(model_file),
+            "--out", str(out_path),
+        )
+        assert code == 1 and "No space" in err
+        assert out_path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in out_dir.iterdir()] == ["scored.csv"]
 
     def test_input_not_mutated(self, small_csv, model_file, tmp_path, capsys):
         before = open(small_csv, "rb").read()

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from churnnet import SchemaError, data
+from churnnet import ConfigError, SchemaError, data, synthetic
 
 
 def make_record(**overrides):
@@ -222,6 +223,138 @@ class TestEncoding:
         rec = make_record(churn=None)
         schema = data.fit_schema([make_record()])
         assert data.encode(rec, schema).target is None
+
+
+def per_record(records, schema):
+    """The reference encoding: ``encode`` of each record, stacked."""
+    rows = [data.encode(r, schema).features for r in records]
+    return np.array(rows).reshape(len(records), schema.feature_width)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestColumnarEncoding:
+    """encode_features against per-record encode, byte for byte."""
+
+    def test_matches_per_record_on_synthetic_data(self):
+        records = synthetic.generate(n=2000, seed=3)
+        # fit on part so the rest reaches outside the fitted bounds
+        schema = data.fit_schema(records[:300])
+        matrix, n_unseen = data.encode_features(records, schema)
+        assert n_unseen == 0
+        assert_same_bytes(matrix, per_record(records, schema))
+        assert matrix.min() == 0.0 and matrix.max() == 1.0
+
+    def test_unseen_level_zero_group_and_count(self):
+        schema = data.fit_schema([make_record(area_code=c) for c in ("408", "415")])
+        records = [make_record(area_code=c) for c in ("415", "510", "408", "999", "510")]
+        matrix, n_unseen = data.encode_features(records, schema)
+        assert n_unseen == 3
+        assert_same_bytes(matrix, per_record(records, schema))
+        group = matrix[:, data.feature_columns(schema)["area_code"]]
+        np.testing.assert_array_equal(group.sum(axis=1), [1.0, 0.0, 1.0, 0.0, 0.0])
+
+    def test_repeated_level_marks_its_first_column(self):
+        base = data.fit_schema([make_record(area_code="415")])
+        names = list(base.feature_names)
+        names.insert(names.index("area_code=415"), "area_code=415")
+        schema = dataclasses.replace(
+            base, categorical_levels={"area_code": ["415", "415"]}, feature_names=names
+        )
+        records = [make_record(area_code="415")]
+        matrix, _ = data.encode_features(records, schema)
+        assert_same_bytes(matrix, per_record(records, schema))
+
+    def test_constant_field(self):
+        schema = data.fit_schema([make_record(account_length=77) for _ in range(3)])
+        records = [make_record(account_length=v) for v in (0, 77, 500)]
+        matrix, _ = data.encode_features(records, schema)
+        assert_same_bytes(matrix, per_record(records, schema))
+        np.testing.assert_array_equal(matrix[:, schema.feature_names.index("account_length")], 0.0)
+
+    def test_clamps_at_both_ends(self):
+        schema = data.fit_schema([make_record(total_day_minutes=v) for v in (100.0, 300.0)])
+        records = [make_record(total_day_minutes=v) for v in (0.0, 50.0, 100.0, 150.0, 300.0, 1e6)]
+        matrix, _ = data.encode_features(records, schema)
+        assert_same_bytes(matrix, per_record(records, schema))
+        col = matrix[:, schema.feature_names.index("total_day_minutes")]
+        np.testing.assert_array_equal(col, [0.0, 0.0, 0.0, 0.25, 1.0, 1.0])
+
+    def test_negative_zero_encodes_as_positive_zero(self, tmp_path):
+        # "-0.0" parses as -0.0; scaled against a lower bound of 0.0 it stays
+        # -0.0, which encode's max(0.0, x) turns into +0.0
+        cols = list(data.FIELD_NAMES) + ["churn"]
+        vals = ROW.split(",")
+        vals[cols.index("total_day_minutes")] = "-0.0"
+        (rec,) = data.parse_csv(write_lines(tmp_path / "nz.csv", [HEADER, ",".join(vals)]))
+        schema = data.fit_schema([make_record(total_day_minutes=v) for v in (0.0, 10.0)])
+        matrix, _ = data.encode_features([rec], schema)
+        assert_same_bytes(matrix, per_record([rec], schema))
+        assert not np.signbit(matrix).any()
+
+    def test_empty_input(self, small_records):
+        schema = data.fit_schema(small_records)
+        matrix, n_unseen = data.encode_features([], schema)
+        assert matrix.shape == (0, schema.feature_width)
+        assert n_unseen == 0
+
+    def test_feature_columns_follow_feature_names(self, small_records):
+        schema = data.fit_schema(small_records)
+        columns = data.feature_columns(schema)
+        assert list(columns) == schema.retained_fields
+        covered = []
+        for field, cols in columns.items():
+            names = schema.feature_names[cols]
+            assert names and all(n == field or n.startswith(field + "=") for n in names)
+            covered.extend(range(cols.start, cols.stop))
+        assert covered == list(range(schema.feature_width))
+
+    def test_feature_columns_reject_inconsistent_schema(self, small_records):
+        schema = data.fit_schema(small_records)
+        schema.feature_names.pop()
+        with pytest.raises(ConfigError, match="columns"):
+            data.feature_columns(schema)
+
+
+AREA_CODES = ("408", "415", "510", "650")
+
+
+@st.composite
+def customer_records(draw):
+    def count():
+        return draw(st.integers(min_value=0, max_value=400))
+
+    def amount():
+        return draw(st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=400.0)))
+
+    return data.CustomerRecord(
+        state="KS", account_length=count(), area_code=draw(st.sampled_from(AREA_CODES)),
+        phone_number="382-4657", international_plan=draw(st.booleans()),
+        voice_mail_plan=draw(st.booleans()), num_vmail_messages=count(),
+        total_day_minutes=amount(), total_day_calls=count(), total_day_charge=amount(),
+        total_eve_minutes=amount(), total_eve_calls=count(), total_eve_charge=amount(),
+        total_night_minutes=amount(), total_night_calls=count(), total_night_charge=amount(),
+        total_intl_minutes=amount(), total_intl_calls=count(), total_intl_charge=amount(),
+        customer_service_calls=count(), churn=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    fit=st.lists(customer_records(), min_size=1, max_size=8),
+    records=st.lists(customer_records(), max_size=12),
+)
+def test_encoding_properties(fit, records):
+    schema = data.fit_schema(fit)
+    matrix, n_unseen = data.encode_features(records, schema)
+    assert matrix.shape == (len(records), schema.feature_width)
+    assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+    assert_same_bytes(matrix, per_record(records, schema))
+    levels = schema.categorical_levels["area_code"]
+    assert n_unseen == sum(r.area_code not in levels for r in records)
 
 
 class TestSplit:

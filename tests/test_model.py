@@ -279,6 +279,34 @@ class TestImportance:
         with pytest.raises(EvaluationError):
             importance(quick_model, [], seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_shuffling_raw_values(self, quick_model, small_records, seed):
+        assert importance(quick_model, small_records, seed=seed) == _record_level_importance(
+            quick_model, small_records, seed
+        )
+
+
+def _record_level_importance(trained, records, seed):
+    """Importance the record-level way: shuffle one raw field's values with
+    ``with_field_values`` and encode every record again with ``encode``."""
+    schema = trained.schema
+
+    def accuracy(recs):
+        feats = np.array([data.encode(r, schema).features for r in recs])
+        return float(np.mean(model.predicted_classes(trained.network, feats) == actual))
+
+    actual = np.array([r.churn for r in records], dtype=bool)
+    baseline = accuracy(records)
+    drops = {}
+    for idx, field in enumerate(schema.retained_fields):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        order = rng.permutation(len(records))
+        values = [getattr(records[i], field) for i in order]
+        drops[field] = max(0.0, baseline - accuracy(data.with_field_values(records, field, values)))
+    top = max(drops.values())
+    scores = {f: (d / top if top > 0 else 0.0) for f, d in drops.items()}
+    return model.ImportanceReport(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])), baseline)
+
 
 class TestPersistence:
     def test_round_trip_weights_and_predictions(self, quick_model, small_records, tmp_path):
@@ -362,9 +390,14 @@ def _missing_weights(doc):
     del doc["weights"]
 
 
+def _level_without_feature_name(doc):
+    doc["schema"]["categorical_levels"]["area_code"].append("999")
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_weight, _infinite_bound, _short_first_matrix, _long_threshold_vector,
     _three_outputs, _topology_off_schema, _missing_summary, _missing_weights,
+    _level_without_feature_name,
 ])
 def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
     path = tmp_path / "model.json"
@@ -393,3 +426,20 @@ def test_load_rejects_number_that_overflows(quick_model, tmp_path):
     path.write_text(json.dumps(doc).replace("0.125", "1e999"))
     with pytest.raises(ConfigError, match="1e999"):
         load_model(path)
+
+
+def test_save_failing_mid_write_keeps_previous_file(quick_model, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(quick_model, path)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"format_version": 1, ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        save_model(quick_model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
