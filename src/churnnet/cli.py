@@ -1,13 +1,14 @@
 """Command-line front end: train, evaluate, predict, importance.
 
-Every run is reproducible from its flags and seed. Each flag can also be
-supplied through an environment variable named CHURNNET_<FLAG> with the
-flag spelled in upper case and dashes as underscores (CHURNNET_ETA,
-CHURNNET_MAX_EPOCHS, ...); explicit flags win over environment values,
-which win over defaults. Reports print to stdout in a human table by
-default; --format machine emits one JSON object per line with stable keys.
-Logs and warnings go to stderr. Exit status is 0 only when the requested
-artifact was fully written or printed.
+Every run is reproducible from its flags and seed. Each training flag,
+--format and --seed can also be supplied through an environment variable
+named CHURNNET_<FLAG> with the flag spelled in upper case and dashes as
+underscores (CHURNNET_ETA, CHURNNET_MAX_EPOCHS, ...); explicit flags win
+over environment values, which win over the defaults of TrainingConfig.
+Reports print to stdout in a human table by default; --format machine
+emits one JSON object per line with stable keys. Logs and warnings go to
+stderr. Exit status is 0 only when the requested artifact was fully
+written or printed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import data, model
 from .errors import ChurnNetError, ConfigError
@@ -26,50 +28,40 @@ log = logging.getLogger(__name__)
 
 ENV_PREFIX = "CHURNNET_"
 
-_CONFIG_FLAGS = {
-    "eta": float,
-    "alpha": float,
-    "max_epochs": int,
-    "patience": int,
-    "holdout": float,
-    "hidden_min": int,
-    "hidden_max": int,
-    "seed": int,
+# Each training flag: the TrainingConfig field it sets, the position it sets
+# in a pair field, and its help. Its type and default are those of its value
+# in TrainingConfig().
+_TRAINING_FLAGS = {
+    "eta": ("eta", None, "learning rate"),
+    "alpha": ("alpha", None, "momentum"),
+    "max_epochs": ("max_epochs", None, "most epochs to train each width"),
+    "patience": ("patience", None, "epochs without holdout improvement before stopping"),
+    "holdout": ("holdout_fraction", None, "holdout fraction in (0,1)"),
+    "hidden_min": ("hidden_range", 0, "smallest hidden width searched"),
+    "hidden_max": ("hidden_range", 1, "largest hidden width searched"),
+    "seed": ("seed", None, "seed of the split, the initial weights and the shuffles"),
 }
 
 
-def _defaults() -> dict:
-    """Flag defaults: the training ones as TrainingConfig() has them."""
-    config = model.TrainingConfig()
-    hidden_min, hidden_max = config.hidden_range
-    return {
-        "eta": config.eta,
-        "alpha": config.alpha,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "holdout": config.holdout_fraction,
-        "hidden_min": hidden_min,
-        "hidden_max": hidden_max,
-        "seed": config.seed,
-        "format": "human",
-    }
+def _default(flag: str):
+    field, position, _ = _TRAINING_FLAGS[flag]
+    value = getattr(model.TrainingConfig(), field)
+    return value if position is None else value[position]
 
 
-_DEFAULTS = _defaults()
-
-
-def _resolve(name: str, flag_value, convert):
-    """Flag > environment > default, with typed env parsing."""
+def _resolve(name: str, flag_value, default):
+    """Flag > environment > default; the environment value takes the default's type."""
     if flag_value is not None:
         return flag_value
     env_name = ENV_PREFIX + name.upper()
     raw = os.environ.get(env_name)
-    if raw is not None:
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"{env_name} must be a {convert.__name__}, got {raw!r}") from None
-    return _DEFAULTS.get(name)
+    if raw is None:
+        return default
+    convert = type(default)
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{env_name} must be a {convert.__name__}, got {raw!r}") from None
 
 
 def _machine(doc: dict) -> str:
@@ -77,23 +69,16 @@ def _machine(doc: dict) -> str:
 
 
 def _training_config(args) -> model.TrainingConfig:
-    values = {
-        name: _resolve(name, getattr(args, name), conv)
-        for name, conv in _CONFIG_FLAGS.items()
-    }
-    return model.TrainingConfig(
-        eta=values["eta"],
-        alpha=values["alpha"],
-        max_epochs=values["max_epochs"],
-        patience=values["patience"],
-        holdout_fraction=values["holdout"],
-        hidden_range=(values["hidden_min"], values["hidden_max"]),
-        seed=values["seed"],
-    )
+    fields = {}
+    for flag, (field, position, _) in _TRAINING_FLAGS.items():
+        value = _resolve(flag, getattr(args, flag), _default(flag))
+        # a pair field's flags come in position order
+        fields[field] = value if position is None else fields.get(field, ()) + (value,)
+    return model.TrainingConfig(**fields)
 
 
 def _format_of(args) -> str:
-    fmt = _resolve("format", args.format, str)
+    fmt = _resolve("format", args.format, "human")
     if fmt not in ("human", "machine"):
         raise ConfigError(f"--format must be human or machine, got {fmt!r}")
     return fmt
@@ -101,18 +86,12 @@ def _format_of(args) -> str:
 
 def cmd_train(args) -> int:
     config = _training_config(args)
-    fmt = _format_of(args)
     records = data.parse_csv(args.data)
     trained = model.train(records, config)
 
-    if fmt == "machine":
+    if args.format == "machine":
         for c in trained.summary.candidates:
-            print(_machine({
-                "hidden": c.hidden,
-                "epochs_run": c.epochs_run,
-                "best_epoch": c.best_epoch,
-                "holdout_accuracy": c.holdout_accuracy,
-            }))
+            print(_machine(asdict(c)))
         print(_machine({
             "winner_hidden": trained.topology[1],
             "holdout_accuracy": trained.summary.holdout_accuracy,
@@ -145,11 +124,10 @@ def _print_matrix(report: model.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    fmt = _format_of(args)
     trained = model.load_model(args.model)
     records = data.parse_csv(args.data)
     report = model.evaluate(trained, records)
-    if fmt == "machine":
+    if args.format == "machine":
         (tn, fp), (fn, tp) = report.confusion
         (pn, pp), (qn, qp) = report.row_percentages
         print(_machine({
@@ -191,12 +169,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    fmt = _format_of(args)
-    seed = _resolve("seed", args.seed, int)
+    seed = _resolve("seed", args.seed, _default("seed"))
     trained = model.load_model(args.model)
     records = data.parse_csv(args.data)
     report = model.importance(trained, records, seed=seed)
-    if fmt == "machine":
+    if args.format == "machine":
         for field, score in report.entries:
             print(_machine({"field": field, "score": score}))
     else:
@@ -214,24 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, model_required=True):
+    def add_common(p):
         p.add_argument("--data", required=True, help="input CSV path")
-        p.add_argument("--model", required=model_required, help="model file path")
-        p.add_argument("--format", choices=["human", "machine"], default=None,
-                       help="report format (default human)")
+        p.add_argument("--model", required=True, help="model file path")
+        p.add_argument("--format", help="report format, human or machine (default human)")
 
     p_train = sub.add_parser("train", help="fit a model and write it to --model")
     add_common(p_train)
-    p_train.add_argument("--eta", type=float, default=None, help="learning rate")
-    p_train.add_argument("--alpha", type=float, default=None, help="momentum")
-    p_train.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p_train.add_argument("--patience", type=int, default=None,
-                         help="epochs without holdout improvement before stopping")
-    p_train.add_argument("--holdout", type=float, default=None,
-                         help="holdout fraction in (0,1)")
-    p_train.add_argument("--hidden-min", type=int, default=None, dest="hidden_min")
-    p_train.add_argument("--hidden-max", type=int, default=None, dest="hidden_max")
-    p_train.add_argument("--seed", type=int, default=None)
+    for flag, (_, _, text) in _TRAINING_FLAGS.items():
+        default = _default(flag)
+        p_train.add_argument("--" + flag.replace("_", "-"), type=type(default),
+                             help=f"{text} (default {default})")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="confusion matrix on a labeled CSV")
@@ -245,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_imp = sub.add_parser("importance", help="permutation field importance")
     add_common(p_imp)
-    p_imp.add_argument("--seed", type=int, default=None, help="permutation seed")
+    p_imp.add_argument("--seed", type=int, help="permutation seed")
     p_imp.set_defaults(func=cmd_importance)
 
     return parser
@@ -258,11 +228,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.format = _format_of(args)
         return args.func(args)
-    except ChurnNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ChurnNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

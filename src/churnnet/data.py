@@ -421,8 +421,18 @@ def feature_columns(schema: EncodingSchema) -> dict[str, slice]:
     """Columns of each retained field in an encoded matrix, in field order.
 
     A categorical field spans one column per level, every other field one.
-    Raises ConfigError if the fields do not span ``schema.feature_width``.
+    Raises ConfigError unless the schema has levels for exactly the
+    categorical fields, a bound pair lo <= hi for exactly the numeric
+    fields, and fields that span ``schema.feature_width``.
     """
+    for attr, fields in (("categorical_levels", CATEGORICAL_FIELDS),
+                         ("numeric_bounds", NUMERIC_FIELDS)):
+        odd = set(getattr(schema, attr)) ^ set(fields)
+        if odd:
+            raise ConfigError(f"encoding schema {attr} lacks or adds {', '.join(sorted(odd))}")
+    for f, (lo, hi) in schema.numeric_bounds.items():
+        if not lo <= hi:
+            raise ConfigError(f"encoding schema bounds of {f} are inverted: [{lo}, {hi}]")
     columns: dict[str, slice] = {}
     start = 0
     for f in schema.retained_fields:

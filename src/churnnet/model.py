@@ -12,9 +12,11 @@ layer on ties.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -222,6 +224,11 @@ def train(records, config: TrainingConfig) -> TrainedModel:
         raise TrainingError("training data contains a single class only")
 
     train_recs, hold_recs = data.split(records, config.holdout_fraction, config.seed)
+    if not train_recs or not hold_recs:
+        raise TrainingError(
+            f"holdout fraction {config.holdout_fraction} of {len(records)} records leaves "
+            f"{len(train_recs)} to train on and {len(hold_recs)} to hold out; both need one"
+        )
     schema = data.fit_schema(train_recs)
     x_train, _ = data.encode_features(train_recs, schema)
     t_train = np.array([data.one_hot_target(r.churn) for r in train_recs])
@@ -268,10 +275,7 @@ def classify_outputs(outputs) -> tuple[bool, float]:
 
 def predict(model: TrainedModel, record) -> Prediction:
     """Score one customer record."""
-    example = data.encode(record, model.schema)
-    out = forward_batch(model.network, example.features[np.newaxis, :])[0]
-    predicted, confidence = classify_outputs(out)
-    return Prediction(predicted, confidence)
+    return predict_batch(model, [record])[0]
 
 
 def predict_batch(model: TrainedModel, records) -> list[Prediction]:
@@ -357,36 +361,12 @@ def importance(model: TrainedModel, records, seed: int = 0) -> ImportanceReport:
 def model_to_dict(model: TrainedModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": {
-            "eta": model.config.eta,
-            "alpha": model.config.alpha,
-            "max_epochs": model.config.max_epochs,
-            "patience": model.config.patience,
-            "holdout_fraction": model.config.holdout_fraction,
-            "hidden_range": list(model.config.hidden_range),
-            "seed": model.config.seed,
-        },
-        "schema": {
-            "dropped_fields": list(model.schema.dropped_fields),
-            "categorical_levels": model.schema.categorical_levels,
-            "numeric_bounds": {
-                f: list(b) for f, b in model.schema.numeric_bounds.items()
-            },
-            "constant_fields": model.schema.constant_fields,
-            "feature_names": model.schema.feature_names,
-        },
+        "config": asdict(model.config),
+        "schema": asdict(model.schema),
         "topology": model.topology,
         "weights": [w.tolist() for w in model.network.weights],
         "thresholds": [t.tolist() for t in model.network.thresholds],
-        "summary": {
-            "epochs_run": model.summary.epochs_run,
-            "best_epoch": model.summary.best_epoch,
-            "holdout_accuracy": model.summary.holdout_accuracy,
-            "seed": model.summary.seed,
-            "n_train": model.summary.n_train,
-            "n_holdout": model.summary.n_holdout,
-            "candidates": [asdict(c) for c in model.summary.candidates],
-        },
+        "summary": asdict(model.summary),
     }
 
 
@@ -414,8 +394,8 @@ def load_model(path) -> TrainedModel:
     """Inverse of save_model; momentum buffers come back zeroed.
 
     Raises ConfigError, naming the file, unless the file is a whole model:
-    valid JSON with every key, only finite numbers, a schema whose fields
-    encode to as many columns as it names features, a topology of
+    valid JSON with every key, only finite numbers, each value of its
+    field's type, a schema that data.feature_columns accepts, a topology of
     ``[feature_width, h, 2]`` and weights and thresholds of those shapes.
     """
     try:
@@ -459,38 +439,48 @@ def load_model(path) -> TrainedModel:
 
 
 def _model_from_dict(doc: dict) -> TrainedModel:
-    cfg = doc["config"]
-    config = TrainingConfig(
-        eta=cfg["eta"],
-        alpha=cfg["alpha"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        holdout_fraction=cfg["holdout_fraction"],
-        hidden_range=tuple(cfg["hidden_range"]),
-        seed=cfg["seed"],
-    )
-    sch = doc["schema"]
-    schema = data.EncodingSchema(
-        categorical_levels={f: list(v) for f, v in sch["categorical_levels"].items()},
-        numeric_bounds={f: (b[0], b[1]) for f, b in sch["numeric_bounds"].items()},
-        constant_fields=list(sch["constant_fields"]),
-        feature_names=list(sch["feature_names"]),
-        dropped_fields=tuple(sch["dropped_fields"]),
-    )
-    topology = [int(s) for s in doc["topology"]]
+    topology = _from_json(list[int], doc["topology"], "topology")
+    weights = _from_json(list[list[list[float]]], doc["weights"], "weights")
+    thresholds = _from_json(list[list[float]], doc["thresholds"], "thresholds")
     network = Network(
         topology,
-        [np.array(w, dtype=float) for w in doc["weights"]],
-        [np.array(t, dtype=float) for t in doc["thresholds"]],
+        [np.array(w, dtype=float) for w in weights],
+        [np.array(t, dtype=float) for t in thresholds],
     )
-    summ = doc["summary"]
-    summary = TrainingSummary(
-        epochs_run=summ["epochs_run"],
-        best_epoch=summ["best_epoch"],
-        holdout_accuracy=summ["holdout_accuracy"],
-        seed=summ["seed"],
-        n_train=summ["n_train"],
-        n_holdout=summ["n_holdout"],
-        candidates=[CandidateResult(**c) for c in summ["candidates"]],
+    return TrainedModel(
+        network,
+        _from_json(data.EncodingSchema, doc["schema"], "schema"),
+        topology,
+        _from_json(TrainingConfig, doc["config"], "config"),
+        _from_json(TrainingSummary, doc["summary"], "summary"),
     )
-    return TrainedModel(network, schema, topology, config, summary)
+
+
+def _from_json(hint, value, where: str):
+    """``value`` from a model file, rebuilt as type ``hint``.
+
+    A dataclass comes from an object holding each of its fields (a missing
+    one is a KeyError naming it, never the field's default), a list or tuple
+    from an array, a dict from an object. Each leaf must already have its
+    type; an int passes for a float, a bool for neither.
+    """
+    origin = typing.get_origin(hint)
+    kind = list if origin is tuple else origin or (dict if dataclasses.is_dataclass(hint) else hint)
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
+        raise TypeError(f"{where} must be a {kind.__name__}, got {type(value).__name__}")
+    if kind is hint:  # a leaf
+        return value
+    args = typing.get_args(hint)
+    if origin is None:  # a dataclass
+        hints, fields = typing.get_type_hints(hint), {}
+        for f in dataclasses.fields(hint):
+            if f.name not in value:
+                raise KeyError(f"{where}.{f.name}")
+            fields[f.name] = _from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
+        return hint(**fields)
+    if kind is dict:
+        return {k: _from_json(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    items = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+    if len(items) != len(value):
+        raise ValueError(f"{where} must have {len(items)} items, got {len(value)}")
+    return origin(_from_json(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(items, value)))

@@ -98,8 +98,8 @@ class Deltas:
 class LearningParams:
     """Learning rate and momentum constant for the update rule."""
 
-    eta: float = 0.3
-    alpha: float = 0.9
+    eta: float
+    alpha: float
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:

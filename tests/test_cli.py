@@ -90,6 +90,18 @@ class TestTrain:
         assert code != 0
         assert "error" in err
 
+    def test_empty_holdout_fails_without_writing(self, small_records, tmp_path, capsys):
+        csv_path = tmp_path / "sixty.csv"
+        data.write_csv(small_records[:60], csv_path)
+        model_path = tmp_path / "m.json"
+        code, _, err = run(
+            capsys, "train", "--data", str(csv_path), "--model", str(model_path),
+            *TRAIN_FLAGS, "--holdout", "0.001",
+        )
+        assert code == 1
+        assert "error: " in err and "0 to hold out" in err
+        assert not model_path.exists()
+
     def test_env_override(self, small_csv, tmp_path, capsys, monkeypatch):
         # env sets a bad eta; an explicit flag must still win
         monkeypatch.setenv("CHURNNET_ETA", "5.0")
@@ -274,6 +286,20 @@ class TestPredict:
         assert code == 1 and "No space" in err
         assert out_path.read_text(encoding="utf-8") == "previous\n"
         assert [p.name for p in out_dir.iterdir()] == ["scored.csv"]
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_bad_format_fails(self, small_csv, model_file, tmp_path, capsys, monkeypatch, via_env):
+        out_path = tmp_path / "scored.csv"
+        argv = ["predict", "--data", str(small_csv), "--model", str(model_file),
+                "--out", str(out_path)]
+        if via_env:
+            monkeypatch.setenv("CHURNNET_FORMAT", "xml")
+        else:
+            argv += ["--format", "xml"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error: --format must be human or machine, got 'xml'" in err
+        assert not out_path.exists()
 
     def test_input_not_mutated(self, small_csv, model_file, tmp_path, capsys):
         before = open(small_csv, "rb").read()

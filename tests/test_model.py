@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from churnnet import (
     ConfigError,
@@ -146,6 +147,14 @@ class TestTrain:
         m = train(small_records, cfg)
         assert [c.hidden for c in m.summary.candidates] == [4]
         assert m.topology[1] == 4
+
+    @pytest.mark.parametrize("holdout", [0.001, 0.999])
+    def test_split_leaving_a_side_empty_rejected(self, small_records, holdout):
+        # 60 records: 0.001 rounds to no holdout rows, 0.999 to no train rows
+        cfg = TrainingConfig(max_epochs=2, patience=1, hidden_range=(3, 3),
+                             holdout_fraction=holdout)
+        with pytest.raises(TrainingError, match="hold out"):
+            train(small_records[:60], cfg)
 
     def test_too_few_records(self, small_records):
         with pytest.raises(TrainingError, match="50"):
@@ -394,10 +403,44 @@ def _level_without_feature_name(doc):
     doc["schema"]["categorical_levels"]["area_code"].append("999")
 
 
+def _missing_numeric_bound(doc):
+    del doc["schema"]["numeric_bounds"]["total_day_minutes"]
+
+
+def _one_element_bound(doc):
+    doc["schema"]["numeric_bounds"]["total_day_minutes"] = [5.0]
+
+
+def _inverted_bound(doc):
+    doc["schema"]["numeric_bounds"]["total_day_minutes"] = [9.0, 1.0]
+
+
+def _levels_of_a_numeric_field(doc):
+    doc["schema"]["categorical_levels"]["account_length"] = []
+
+
+def _null_weight(doc):
+    doc["weights"][1][0][0] = None
+
+
+def _bool_count(doc):
+    doc["summary"]["n_train"] = True
+
+
+def _fractional_count(doc):
+    doc["config"]["max_epochs"] += 0.5
+
+
+def _three_element_bound(doc):
+    doc["schema"]["numeric_bounds"]["total_day_minutes"].append(500.0)
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_weight, _infinite_bound, _short_first_matrix, _long_threshold_vector,
     _three_outputs, _topology_off_schema, _missing_summary, _missing_weights,
-    _level_without_feature_name,
+    _level_without_feature_name, _missing_numeric_bound, _one_element_bound,
+    _inverted_bound, _levels_of_a_numeric_field, _null_weight, _bool_count,
+    _fractional_count, _three_element_bound,
 ])
 def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
     path = tmp_path / "model.json"
@@ -406,6 +449,18 @@ def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
     corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="model.json"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("section,key", [("schema", "dropped_fields"), ("config", "seed")])
+def test_load_names_missing_key_without_default(quick_model, tmp_path, section, key):
+    # dropped_fields has a dataclass default, and seed is also a summary key
+    path = tmp_path / "model.json"
+    save_model(quick_model, path)
+    doc = json.loads(path.read_text())
+    del doc[section][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"lacks key '{section}.{key}'"):
         load_model(path)
 
 
@@ -443,3 +498,113 @@ def test_save_failing_mid_write_keeps_previous_file(quick_model, tmp_path, monke
         save_model(quick_model, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _finite_array(draw, like):
+    values = draw(st.lists(FINITE, min_size=like.size, max_size=like.size))
+    return np.array(values).reshape(like.shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st_data=st.data())
+def test_save_load_save_byte_identical(quick_model, tmp_path_factory, st_data):
+    draw = st_data.draw
+    net = quick_model.network
+    bounds = {
+        f: tuple(sorted(draw(st.lists(FINITE, min_size=2, max_size=2))))
+        for f in quick_model.schema.numeric_bounds
+    }
+    variant = dataclasses.replace(
+        quick_model,
+        network=dataclasses.replace(
+            net,
+            weights=[_finite_array(draw, w) for w in net.weights],
+            thresholds=[_finite_array(draw, t) for t in net.thresholds],
+        ),
+        schema=dataclasses.replace(quick_model.schema, numeric_bounds=bounds),
+        config=TrainingConfig(
+            eta=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            alpha=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            max_epochs=draw(st.integers(1, 10**6)),
+            patience=draw(st.integers(1, 10**6)),
+            holdout_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            hidden_range=tuple(sorted(draw(st.lists(st.integers(1, 64), min_size=2, max_size=2)))),
+            seed=draw(st.integers(0, 2**64)),
+        ),
+        summary=dataclasses.replace(
+            quick_model.summary,
+            holdout_accuracy=draw(FINITE),
+            n_train=draw(st.integers(0, 10**9)),
+        ),
+    )
+    directory = tmp_path_factory.mktemp("roundtrip")
+    first, second = directory / "a.json", directory / "b.json"
+    save_model(variant, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert (loaded.config, loaded.schema, loaded.summary) == (
+        variant.config, variant.schema, variant.summary)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+# Each mutation and the nodes it applies to.
+_MUTATIONS = {
+    "delete": lambda path, value: path and isinstance(path[-1], str),
+    "retype": lambda path, value: not isinstance(value, (dict, list)),
+    "shorten": lambda path, value: isinstance(value, list) and value,
+}
+
+
+def _wrong_typed(value):
+    others = st.sampled_from([None, True, [], {}])
+    if isinstance(value, str):
+        return st.one_of(others, st.integers(), FINITE)
+    return st.one_of(others, st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st_data=st.data())
+def test_mutated_model_is_rejected_or_evaluates(quick_model, small_csv, tmp_path_factory, st_data):
+    # Delete one key, give one leaf a value of another type, or drop the
+    # last item of one list: the load either fails with ConfigError or gives
+    # a model with finite weights that evaluates a CSV.
+    draw = st_data.draw
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    save_model(quick_model, path)
+    doc = json.loads(path.read_text())
+    mutation = draw(st.sampled_from(sorted(_MUTATIONS)))
+    where = draw(st.sampled_from([p for p, v in _nodes(doc) if _MUTATIONS[mutation](p, v)]))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if mutation == "delete":
+        del parent[where[-1]]
+    elif mutation == "retype":
+        parent[where[-1]] = draw(_wrong_typed(parent[where[-1]]))
+    else:
+        parent[where[-1]].pop()
+    path.write_text(json.dumps(doc))
+
+    try:
+        loaded = load_model(path)
+    except ConfigError:
+        return
+    assert loaded.network.all_finite()
+    report = evaluate(loaded, data.parse_csv(small_csv))
+    assert 0.0 <= report.overall_accuracy <= 1.0

@@ -388,4 +388,4 @@ class TestLockstepBatch:
         x, t = self.examples(n=5, n_in=4)
         batch = LockstepBatch([init_network([4, h, 2], seed=h) for h in (1, 2)])
         with pytest.raises(ShapeError):
-            batch.train_epoch(x, t, orders, LearningParams())
+            batch.train_epoch(x, t, orders, LearningParams(0.3, 0.9))
