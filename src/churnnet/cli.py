@@ -151,20 +151,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     trained = model.load_model(args.model)
-    header, rows = data.read_raw_csv(args.data)
+    header, rows, lines = data.read_raw_csv(args.data)
     colmap = data.map_header(header, require_label=False)
-    records, kept = data.parse_rows(rows, colmap, args.data)
+    table = data.parse_table(rows, colmap, args.data, lines)
 
-    predictions = model.predict_batch(trained, records)
+    predicted, confidence = model.score(trained, table)
     with data.open_atomic(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header) + ["N_churn", "NC_churn"])
-        for i, pred in zip(kept, predictions):
-            writer.writerow(
-                list(rows[i])
-                + ["true" if pred.predicted_churn else "false", repr(pred.confidence)]
-            )
-    log.info("wrote %d predictions to %s", len(predictions), args.out)
+        # tolist() first: repr of a numpy float64 is "np.float64(...)"
+        writer.writerows(
+            rows[i] + ["true" if p else "false", repr(c)]
+            for i, p, c in zip(table.kept.tolist(), predicted.tolist(), confidence.tolist())
+        )
+    log.info("wrote %d predictions to %s", len(table), args.out)
     return 0
 
 

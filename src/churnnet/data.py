@@ -119,28 +119,58 @@ class CustomerRecord:
     churn: bool | None = None
 
 
+@dataclass(eq=False)
+class CustomerTable:
+    """Parsed data rows held as columns, one array per field.
+
+    ``columns`` maps each of FIELD_NAMES, in order, to its values over the
+    kept rows: stripped strings (an object array) for state, area_code and
+    phone_number, bools for the yes/no fields, float64 for the numeric
+    fields. An integer field holds ``float(int(v))``, so a "-0" cell is
+    +0.0 as in a CustomerRecord. ``churn`` is a bool array, or None when the
+    file has no label column. ``kept`` holds the indices, in the raw rows, of
+    the rows the columns came from.
+    """
+
+    columns: dict[str, np.ndarray]
+    churn: np.ndarray | None
+    kept: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def records(self) -> list[CustomerRecord]:
+        """One CustomerRecord per kept row, holding Python scalars."""
+        values = [
+            [int(v) for v in col.tolist()] if f in INT_FIELDS else col.tolist()
+            for f, col in self.columns.items()
+        ]
+        churn = [None] * len(self) if self.churn is None else self.churn.tolist()
+        return [CustomerRecord(*row) for row in zip(*values, churn)]
+
+
 def _canon_header(name: str) -> str:
     key = re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
     return _HEADER_ALIASES.get(key, key)
 
 
+_YES_NO = {"yes": True, "no": False}
+# Both "True."/"False." and "yes"/"no" label spellings occur in the wild.
+_LABELS = {"true": True, "yes": True, "false": False, "no": False}
+
+
 def _parse_yes_no(token: str, field: str) -> bool:
-    v = token.strip().lower()
-    if v == "yes":
-        return True
-    if v == "no":
-        return False
-    raise ValueError(f"{field} must be yes or no, got {token!r}")
+    v = _YES_NO.get(token.strip().lower())
+    if v is None:
+        raise ValueError(f"{field} must be yes or no, got {token!r}")
+    return v
 
 
 def _parse_label(token: str) -> bool:
-    # Both "True."/"False." and "yes"/"no" spellings occur in the wild.
-    v = token.strip().rstrip(".").lower()
-    if v in ("true", "yes"):
-        return True
-    if v in ("false", "no"):
-        return False
-    raise ValueError(f"churn label must be true/false or yes/no, got {token!r}")
+    v = _LABELS.get(token.strip().rstrip(".").lower())
+    if v is None:
+        raise ValueError(f"churn label must be true/false or yes/no, got {token!r}")
+    return v
 
 
 def _parse_int(token: str, field: str) -> int:
@@ -168,7 +198,13 @@ def _parse_float(token: str, field: str) -> float:
 
 
 def read_raw_csv(path):
-    """Read header and raw data rows (lists of strings) from a CSV file."""
+    """Read the header and the non-blank data rows (lists of strings) of a CSV file.
+
+    Returns ``(header, rows, lines)``, where ``lines[i]`` is the physical line
+    on which ``rows[i]`` starts, the header being line 1: blank lines and
+    quoted cells that span lines do not shift it. A row the csv module cannot
+    read (such as a cell over ``csv.field_size_limit()``) is a SchemaError.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -176,10 +212,18 @@ def read_raw_csv(path):
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty, expected a header row") from None
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            rows, lines = [], []
+            start = reader.line_num + 1
+            for row in reader:
+                if "".join(row).strip():  # a row of blank cells is a blank line
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
     except UnicodeDecodeError:
         raise SchemaError(_utf8_error(path)) from None
-    return header, rows
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, rows, lines
 
 
 def _utf8_error(path) -> str:
@@ -237,26 +281,80 @@ def parse_row(row, colmap: dict[str, int], line_no: int) -> CustomerRecord:
     return CustomerRecord(**values)
 
 
-def parse_rows(rows, colmap: dict[str, int], source) -> tuple[list[CustomerRecord], list[int]]:
-    """Parse raw data rows under one bad-row policy.
+def _lookup(keys, table: dict[str, bool]):
+    """``(values, ok)``: each key's value in ``table``; ok is False where it has none."""
+    codes = np.array([table.get(k, -1) for k in keys], dtype=np.int8)
+    return codes == 1, codes >= 0
 
-    Returns the records and the indices in ``rows`` of the rows they came
-    from. Malformed rows are skipped with a logged warning carrying their
-    line number; if more than MAX_BAD_ROW_FRACTION of the rows are bad, the
+
+def _numbers(cells, integral: bool):
+    """``(values, ok)`` of a numeric column: float() of each cell, which must
+    be finite and >= 0, and also whole when ``integral``."""
+    try:
+        # an object array converts by float() itself; a "<U" array would not
+        # (it drops a trailing NUL that float() rejects)
+        v = cells.astype(float)
+    except ValueError:
+        v = np.array([_float_or_nan(c) for c in cells.tolist()])
+    ok = np.isfinite(v) & (v >= 0.0)
+    if integral:
+        ok &= np.trunc(v) == v
+        v = v + 0.0  # float(int(v)): "-0" gives +0.0
+    return v, ok
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
+    """Parse raw data rows into a CustomerTable under one bad-row policy.
+
+    Each field is checked for a whole column at once. A malformed row is
+    skipped with a logged warning carrying its line (``lines[i]`` for
+    ``rows[i]``); if more than MAX_BAD_ROW_FRACTION of the rows are bad, the
     whole input is rejected with a SchemaError naming the first few lines.
-    ``source`` names the input in messages.
+    The messages come from ``parse_row`` on the bad rows, so they are those
+    of parsing row by row. ``source`` names the input in messages.
     """
-    records: list[CustomerRecord] = []
-    kept: list[int] = []
+    width = max(colmap.values()) + 1
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    full = np.flatnonzero(lengths >= width)  # a short row is bad as a whole
+    picked = [rows[i] for i in full.tolist()]
+    for k in np.flatnonzero(lengths[full] > width).tolist():
+        picked[k] = picked[k][:width]
+    cells = np.array(picked, dtype=object).reshape(len(full), width)
+
+    ok = np.ones(len(full), dtype=bool)
+    columns: dict[str, np.ndarray] = {}
+    for f in FIELD_NAMES:
+        col = cells[:, colmap[f]]
+        if f in BINARY_FIELDS:
+            columns[f], col_ok = _lookup([c.strip().lower() for c in col.tolist()], _YES_NO)
+            ok &= col_ok
+        elif f in NUMERIC_FIELDS:
+            columns[f], col_ok = _numbers(col, f in INT_FIELDS)
+            ok &= col_ok
+        else:
+            columns[f] = np.array([c.strip() for c in col.tolist()], dtype=object)
+    churn = None
+    if LABEL_FIELD in colmap:
+        labels = cells[:, colmap[LABEL_FIELD]]
+        churn, col_ok = _lookup([c.strip().rstrip(".").lower() for c in labels.tolist()], _LABELS)
+        ok &= col_ok
+
+    kept = full[ok]
+    good = np.zeros(len(rows), dtype=bool)
+    good[kept] = True
     bad: list[tuple[int, str]] = []
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
+    for i in np.flatnonzero(~good).tolist():
         try:
-            records.append(parse_row(row, colmap, line_no))
+            parse_row(rows[i], colmap, lines[i])
         except ValueError as exc:
-            bad.append((line_no, str(exc)))
-            continue
-        kept.append(i)
+            bad.append((lines[i], str(exc)))
     if rows and len(bad) > MAX_BAD_ROW_FRACTION * len(rows):
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
         raise SchemaError(
@@ -264,15 +362,24 @@ def parse_rows(rows, colmap: dict[str, int], source) -> tuple[list[CustomerRecor
         )
     for line_no, msg in bad:
         log.warning("%s: skipped line %d: %s", source, line_no, msg)
-    log.info("%s: parsed %d records (%d rows skipped)", source, len(records), len(bad))
-    return records, kept
+    log.info("%s: parsed %d records (%d rows skipped)", source, len(kept), len(bad))
+    columns = {f: col[ok] for f, col in columns.items()}
+    return CustomerTable(columns, None if churn is None else churn[ok], kept)
+
+
+def parse_rows(
+    rows, colmap: dict[str, int], source, lines
+) -> tuple[list[CustomerRecord], list[int]]:
+    """:func:`parse_table` as records, and the indices in ``rows`` of their rows."""
+    table = parse_table(rows, colmap, source, lines)
+    return table.records(), table.kept.tolist()
 
 
 def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
     """Parse the churn CSV into records, skipping bad rows as parse_rows does."""
-    header, rows = read_raw_csv(path)
+    header, rows, lines = read_raw_csv(path)
     colmap = map_header(header, require_label=require_label)
-    records, _ = parse_rows(rows, colmap, path)
+    records, _ = parse_rows(rows, colmap, path, lines)
     return records
 
 
@@ -448,17 +555,22 @@ def feature_columns(schema: EncodingSchema) -> dict[str, slice]:
 
 
 def encode_features(records, schema: EncodingSchema):
-    """Encode many records into a feature matrix, one field at a time.
+    """Encode a CustomerTable, or a sequence of records, field by field.
 
     Gives the same matrix, bit for bit, as stacking ``encode`` of each
     record. Returns ``(matrix, n_unseen)`` where n_unseen tallies
     categorical values that were absent from the training data and encoded
     as all-zero groups.
     """
+    fields = feature_columns(schema)
+    if isinstance(records, CustomerTable):
+        columns = records.columns
+    else:
+        columns = {f: [getattr(r, f) for r in records] for f in fields}
     matrix = np.empty((len(records), schema.feature_width))
     n_unseen = 0
-    for f, cols in feature_columns(schema).items():
-        values = [getattr(r, f) for r in records]
+    for f, cols in fields.items():
+        values = columns[f]
         if f in CATEGORICAL_FIELDS:
             index: dict[str, int] = {}
             for j, level in enumerate(schema.categorical_levels[f]):

@@ -134,8 +134,7 @@ def _candidate_seeds(seed: int, hidden: int) -> tuple[int, int]:
 
 def predicted_classes(net: Network, features: np.ndarray) -> np.ndarray:
     """Boolean churn predictions for a feature matrix; ties resolve to loyal."""
-    out = forward_batch(net, features)
-    return out[:, 1] > out[:, 0]
+    return decide(forward_batch(net, features))[0]
 
 
 def _accuracy(net: Network, features: np.ndarray, labels: np.ndarray) -> float:
@@ -258,19 +257,28 @@ def train(records, config: TrainingConfig) -> TrainedModel:
     return TrainedModel(winner.best_net, schema, topology, config, summary)
 
 
-def classify_outputs(outputs) -> tuple[bool, float]:
-    """Decision rule on the two output activations.
+def decide(outputs) -> tuple[np.ndarray, np.ndarray]:
+    """Decision rule on an ``(n, 2)`` array of output activations.
 
-    Predicted class is the larger activation (tie goes to loyal); confidence
-    is the winning activation over the sum of both, so scaling both outputs
-    by any positive constant changes nothing.
+    Row i predicts a churner when its second activation is the larger (a
+    tie goes to loyal); its confidence is the winning activation over the
+    sum of both, or 0.5 when that sum is not positive, so scaling both
+    outputs by any positive constant changes nothing. Returns the
+    predictions (bool) and the confidences (float64).
     """
-    loyal, churner = float(outputs[0]), float(outputs[1])
+    outputs = np.asarray(outputs, dtype=float)
+    loyal, churner = outputs[:, 0], outputs[:, 1]
     predicted = churner > loyal
-    winning = churner if predicted else loyal
     total = loyal + churner
-    confidence = winning / total if total > 0 else 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        confidence = np.where(total > 0, np.where(predicted, churner, loyal) / total, 0.5)
     return predicted, confidence
+
+
+def classify_outputs(outputs) -> tuple[bool, float]:
+    """:func:`decide` for one pair of output activations."""
+    predicted, confidence = decide(np.reshape(outputs, (1, 2)))
+    return bool(predicted[0]), float(confidence[0])
 
 
 def predict(model: TrainedModel, record) -> Prediction:
@@ -278,13 +286,18 @@ def predict(model: TrainedModel, record) -> Prediction:
     return predict_batch(model, [record])[0]
 
 
+def score(model: TrainedModel, records) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decide` on a CustomerTable or records, with one forward pass."""
+    feats, _ = data.encode_features(records, model.schema)
+    return decide(forward_batch(model.network, feats))
+
+
 def predict_batch(model: TrainedModel, records) -> list[Prediction]:
     """Score many records with one forward pass."""
     if not records:
         return []
-    feats, _ = data.encode_features(records, model.schema)
-    outs = forward_batch(model.network, feats)
-    return [Prediction(*classify_outputs(o)) for o in outs]
+    predicted, confidence = score(model, records)
+    return [Prediction(*pc) for pc in zip(predicted.tolist(), confidence.tolist())]
 
 
 def evaluate(model: TrainedModel, records) -> EvalReport:
@@ -408,7 +421,7 @@ def load_model(path) -> TrainedModel:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a model file: top level is not a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # 1.0 and true equal 1
         raise ConfigError(
             f"{path}: unsupported model format version {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}"

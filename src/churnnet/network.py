@@ -229,16 +229,17 @@ def train_example(net: Network, inputs, target, params: LearningParams) -> float
     return err
 
 
-def _sigmoid_into(z, out, high, low, one) -> None:
+def _sigmoid_into(z, out, low, one) -> None:
     """:func:`sigmoid` of ``z`` written to ``out``, overwriting ``z``.
 
-    ``high``, ``low`` and ``one`` hold SIGMOID_CLAMP, -SIGMOID_CLAMP and 1.0
-    in every element. The operations and their order are those of
-    :func:`sigmoid`, so the bits are too: minimum then maximum returns
-    exactly what ``np.clip`` does, at less than half its call overhead, and
-    an array operand is cheaper to pass than a Python float.
+    ``low`` and ``one`` hold -SIGMOID_CLAMP and 1.0 in every element. The
+    bits are those of :func:`sigmoid`, with one operation fewer. Only the
+    lower clamp can change a result: above SIGMOID_CLAMP, ``1 + e^-z``
+    rounds to 1.0 exactly as ``1 + e^-SIGMOID_CLAMP`` does, and NaN
+    passes through either way. ``np.maximum`` returns what ``np.clip``
+    does at less than half its call overhead, and an array operand is
+    cheaper to pass than a Python float.
     """
-    np.minimum(z, high, out=z)
     np.maximum(z, low, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
@@ -316,7 +317,6 @@ class LockstepBatch:
         self._step = np.empty(size)
         self._step_deltas = np.empty(size)
         # Constant operands as arrays: a Python float costs more to pass per call.
-        self._high = np.full(size, SIGMOID_CLAMP)
         self._low = np.full(size, -SIGMOID_CLAMP)
         self._one = np.ones(size)
 
@@ -402,9 +402,9 @@ class LockstepBatch:
         step, step_deltas, prev, theta = self._step, self._step_deltas, self._prev, self._params
         fw1, fw2, bw1 = self._forward_hidden, self._forward_output, self._backward_hidden
         eta, alpha = np.full(theta.size, params.eta), np.full(theta.size, params.alpha)
-        high, low, one = self._high, self._low, self._one
-        sig1 = high[:h_total], low[:h_total], one[:h_total]
-        sig2 = high[: y.size], low[: y.size], one[: y.size]
+        low, one = self._low, self._one
+        sig1 = low[:h_total], one[:h_total]
+        sig2 = low[: y.size], one[: y.size]
         one_act = one[: act.size]
 
         by_position = steps.T

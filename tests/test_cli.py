@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import os
 
@@ -165,6 +166,17 @@ class TestEvaluate:
         )
         assert code != 0 and "error" in err
 
+    def test_oversized_cell_fails_cleanly(self, small_csv, model_file, tmp_path, capsys):
+        lines = small_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[5].split(",")
+        cells[0] = "x" * 200_000  # over csv.field_size_limit()
+        lines[5] = ",".join(cells)
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--data", str(path), "--model", str(model_file))
+        assert code == 1
+        assert f"error: {path}: line 6: field larger than field limit" in err
+
 
 class TestPredict:
     def test_appends_two_columns_preserving_order(
@@ -261,24 +273,44 @@ class TestPredict:
         assert "line 11: " in err and "line 21: " in err
         assert not out_path.exists()
 
+    def test_bad_rows_named_by_physical_line(self, small_records, model_file, tmp_path, capsys):
+        import dataclasses
+
+        unlabeled = [dataclasses.replace(r, churn=None) for r in small_records[:60]]
+        csv_path = tmp_path / "blank.csv"
+        data.write_csv(unlabeled, csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[10] = lines[10].rsplit(",", 3)[0]  # line 11, truncated
+        lines[20] = lines[20].rsplit(",", 3)[0]  # line 21, truncated
+        lines.insert(3, "")  # a blank line 4 moves them to lines 12 and 22
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "predict", "--data", str(csv_path), "--model", str(model_file),
+            "--out", str(tmp_path / "scored.csv"),
+        )
+        assert code == 1
+        assert "(line 12: line 12: expected 20 columns, got 17; line 22: line 22: " in err
+
     def test_failed_write_keeps_previous_output(
         self, small_csv, model_file, tmp_path, capsys, monkeypatch
     ):
-        class DiskFull:
-            predicted_churn = False
+        real_writer = csv.writer
 
-            @property
-            def confidence(self):
+        class DiskFullWriter:
+            """A csv writer whose disk fills after the header and one row."""
+
+            def __init__(self, fh):
+                self.writerow = real_writer(fh).writerow
+
+            def writerows(self, rows):
+                self.writerow(next(iter(rows)))
                 raise OSError(28, "No space left on device")
 
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out_path = out_dir / "scored.csv"
         out_path.write_text("previous\n", encoding="utf-8")
-        monkeypatch.setattr(
-            model, "predict_batch",
-            lambda trained, records: [model.Prediction(False, 0.5), DiskFull()],
-        )
+        monkeypatch.setattr(csv, "writer", DiskFullWriter)
         code, _, err = run(
             capsys, "predict", "--data", str(small_csv), "--model", str(model_file),
             "--out", str(out_path),

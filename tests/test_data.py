@@ -1,6 +1,10 @@
 """Tests for CSV ingestion, encoding, and splitting."""
 
 import dataclasses
+import itertools
+import logging
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +118,20 @@ class TestParsing:
             records = data.parse_csv(path)
         assert len(records) == 150
         assert any("line 152" in m for m in caplog.messages)
+
+    def test_bad_row_named_by_physical_line(self, tmp_path, caplog):
+        # a blank line 4 and a row whose quoted state spans lines 8-9 come
+        # before the bad row on line 22
+        bad = ROW.replace("265.1", "none")
+        multi = '"K\nS",' + ROW.split(",", 1)[1]
+        lines = [HEADER, ROW, ROW, "", ROW, ROW, ROW, multi] + [ROW] * 12 + [bad] + [ROW] * 140
+        path = write_lines(tmp_path / "lines.csv", lines)
+        with caplog.at_level("WARNING"):
+            records = data.parse_csv(path)
+        assert len(records) == 158 and records[5].state == "K\nS"
+        assert [m for m in caplog.messages if "skipped" in m] == [
+            f"{path}: skipped line 22: total_day_minutes must be a number, got 'none'"
+        ]
 
     def test_too_many_bad_rows_rejected(self, tmp_path):
         bad = ROW.replace("265.1", "none")
@@ -355,6 +373,150 @@ def test_encoding_properties(fit, records):
     assert_same_bytes(matrix, per_record(records, schema))
     levels = schema.categorical_levels["area_code"]
     assert n_unseen == sum(r.area_code not in levels for r in records)
+
+
+def per_row_parse(rows, colmap, source, lines):
+    """The reference bad-row policy: ``parse_row`` on one row at a time.
+
+    Returns the records, the indices of their rows and the warnings; raises
+    SchemaError as the columnar parse must.
+    """
+    records, kept, bad = [], [], []
+    for i, row in enumerate(rows):
+        try:
+            records.append(data.parse_row(row, colmap, lines[i]))
+        except ValueError as exc:
+            bad.append((lines[i], str(exc)))
+            continue
+        kept.append(i)
+    if rows and len(bad) > data.MAX_BAD_ROW_FRACTION * len(rows):
+        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
+        raise SchemaError(
+            f"{source}: {len(bad)} of {len(rows)} rows failed to parse ({detail} ...)"
+        )
+    return records, kept, [f"{source}: skipped line {ln}: {msg}" for ln, msg in bad]
+
+
+def typed_values(record):
+    """A record's values with their types; floats by their bits."""
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
+
+
+class Warnings(logging.Handler):
+    """Collects the warnings ``churnnet.data`` logs inside a with block."""
+
+    def __enter__(self):
+        self.messages = []
+        self.level = data.log.level
+        data.log.setLevel(logging.WARNING)
+        data.log.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        data.log.removeHandler(self)
+        data.log.setLevel(self.level)
+
+    def emit(self, record):
+        if record.levelno == logging.WARNING:
+            self.messages.append(record.getMessage())
+
+
+INT_CELLS = ("0", "7", "128", "3.0", " 42 ", "1e2", "-0", "-0.0", "1_000", "\u0663")
+FLOAT_CELLS = INT_CELLS + ("12.5", "+.5", "1e-400", "0.001")
+YES_NO_CELLS = ("yes", "no", " YES", "No ")
+LABEL_CELLS = ("True.", "False.", "yes", "no", "TRUE", "false..", " no. ")
+TEXT_CELLS = ("KS", " 415 ", "", "382-4657", "650")
+MALFORMED_CELLS = ("n/a", "-1", "nan", "inf", "1e999", "1.5\x00", "12.5", "maybe", "", " ", "y")
+
+
+def valid_cell(field):
+    if field in data.INT_FIELDS:
+        return st.sampled_from(INT_CELLS)
+    if field in data.FLOAT_FIELDS:
+        return st.sampled_from(FLOAT_CELLS)
+    if field in data.BINARY_FIELDS:
+        return st.sampled_from(YES_NO_CELLS)
+    if field == data.LABEL_FIELD:
+        return st.sampled_from(LABEL_CELLS)
+    return st.sampled_from(TEXT_CELLS)
+
+
+MALFORMED = st.one_of(
+    st.sampled_from(MALFORMED_CELLS),
+    st.text(alphabet="0123456789.eE+-_ naif\x00\u0663", max_size=6),
+)
+
+
+@st.composite
+def raw_csv(draw):
+    """A header order and data rows mixing malformed cells, short and long rows."""
+    fields = list(data.FIELD_NAMES) + ([data.LABEL_FIELD] if draw(st.booleans()) else [])
+    header = draw(st.permutations(fields))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        row = [draw(valid_cell(f)) for f in header]
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            row[draw(st.integers(0, len(row) - 1))] = draw(MALFORMED)
+        shape = draw(st.sampled_from(("full",) * 6 + ("short", "long")))
+        if shape == "short":
+            row = row[: -draw(st.integers(1, 3))]
+        elif shape == "long":
+            row += ["extra"] * draw(st.integers(1, 2))
+        rows.append(row)
+    # each row starts 1-3 physical lines after the one before it, the header being line 1
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    return header, rows, list(itertools.accumulate(gaps, initial=1))[1:]
+
+
+def assert_parses_as_per_row(header, rows, lines):
+    """parse_table agrees with per_row_parse: kept rows, values (Python
+    scalars and table columns, by their bits), warnings and errors."""
+    colmap = data.map_header(header, require_label=False)
+    try:
+        want, want_kept, want_warnings = per_row_parse(rows, colmap, "in.csv", lines)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            data.parse_table(rows, colmap, "in.csv", lines)
+        assert str(got.value) == str(exc)
+        return
+    with Warnings() as warnings:
+        table = data.parse_table(rows, colmap, "in.csv", lines)
+    assert warnings.messages == want_warnings
+    assert table.kept.tolist() == want_kept
+    assert [typed_values(r) for r in table.records()] == [typed_values(r) for r in want]
+    for f, col in table.columns.items():
+        values = [getattr(r, f) for r in want]
+        if f in data.NUMERIC_FIELDS:  # an int field as float(int(v)): "-0" is +0.0
+            assert col.dtype == np.float64
+            assert col.tobytes() == np.array([float(v) for v in values]).tobytes()
+        else:
+            assert col.tolist() == values
+    labels = [r.churn for r in want]
+    assert (table.churn is None if data.LABEL_FIELD not in colmap
+            else table.churn.tolist() == labels)
+
+
+def test_columnar_parse_equals_per_row_parse_on_each_cell():
+    # each listed cell alone in each column, so that a column converts in
+    # bulk unless the cell itself fails
+    header = list(data.FIELD_NAMES) + [data.LABEL_FIELD]
+    base = ROW.split(",")
+    cells = set(INT_CELLS + FLOAT_CELLS + YES_NO_CELLS + LABEL_CELLS + TEXT_CELLS
+                + MALFORMED_CELLS)
+    rows = [base[:-1], base[:5], base + ["extra"]]
+    for j in range(len(header)):
+        rows += [base[:j] + [cell] + base[j + 1:] for cell in sorted(cells)]
+    with mock.patch.object(data, "MAX_BAD_ROW_FRACTION", 1.0):
+        for row in rows:
+            assert_parses_as_per_row(header, [row], [7])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_rows=raw_csv(), fraction=st.sampled_from((0.01, 0.5, 1.0)))
+def test_columnar_parse_equals_per_row_parse(csv_rows, fraction):
+    with mock.patch.object(data, "MAX_BAD_ROW_FRACTION", fraction):
+        assert_parses_as_per_row(*csv_rows)
 
 
 class TestSplit:

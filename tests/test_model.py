@@ -435,12 +435,20 @@ def _three_element_bound(doc):
     doc["schema"]["numeric_bounds"]["total_day_minutes"].append(500.0)
 
 
+def _bool_version(doc):
+    doc["format_version"] = True
+
+
+def _float_version(doc):
+    doc["format_version"] = 1.0
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_weight, _infinite_bound, _short_first_matrix, _long_threshold_vector,
     _three_outputs, _topology_off_schema, _missing_summary, _missing_weights,
     _level_without_feature_name, _missing_numeric_bound, _one_element_bound,
     _inverted_bound, _levels_of_a_numeric_field, _null_weight, _bool_count,
-    _fractional_count, _three_element_bound,
+    _fractional_count, _three_element_bound, _bool_version, _float_version,
 ])
 def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
     path = tmp_path / "model.json"

@@ -21,7 +21,14 @@ from churnnet import (
     squared_error,
     train_example,
 )
-from churnnet.network import LockstepBatch, apply_updates, hidden_deltas, output_deltas
+from churnnet.network import (
+    SIGMOID_CLAMP,
+    LockstepBatch,
+    _sigmoid_into,
+    apply_updates,
+    hidden_deltas,
+    output_deltas,
+)
 
 
 def reference_net() -> Network:
@@ -60,6 +67,15 @@ class TestSigmoid:
     def test_monotonic(self):
         x = np.linspace(-10, 10, 1001)
         assert np.all(np.diff(sigmoid(x)) > 0)
+
+    def test_in_place_form_matches_bit_for_bit(self):
+        # the lockstep step's sigmoid skips the upper clamp
+        edges = [np.inf, 1e308, 501.0, 500.0, 37.0, 0.0, -0.0, np.nan]
+        z = np.array(edges + [-e for e in edges]
+                     + list(np.random.default_rng(0).normal(0.0, 40.0, 2000)))
+        out = np.empty_like(z)
+        _sigmoid_into(z.copy(), out, np.full(z.size, -SIGMOID_CLAMP), np.ones(z.size))
+        assert out.tobytes() == sigmoid(z).tobytes()
 
     def test_derivative_identity(self):
         # d/dx sigmoid = y(1-y), checked against central differences
