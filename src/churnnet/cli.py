@@ -14,7 +14,6 @@ written or printed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -151,20 +150,32 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     trained = model.load_model(args.model)
-    header, rows, lines = data.read_raw_csv(args.data)
+    blocks = data.read_csv_blocks(args.data, data.BLOCK_ROWS)
+    (header,), _ = next(blocks)
     colmap = data.map_header(header, require_label=False)
-    table = data.parse_table(rows, colmap, args.data, lines)
+    colmap.pop(data.LABEL_FIELD, None)  # a label cell is echoed, never parsed
 
-    predicted, confidence = model.score(trained, table)
+    # One block at a time; the bad-row policy and the warnings cover the
+    # whole file once it is read, before the output replaces --out.
+    n_rows = n_kept = n_unseen = 0
+    bad = []
     with data.open_atomic(args.out, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header) + ["N_churn", "NC_churn"])
-        # tolist() first: repr of a numpy float64 is "np.float64(...)"
-        writer.writerows(
-            rows[i] + ["true" if p else "false", repr(c)]
-            for i, p, c in zip(table.kept.tolist(), predicted.tolist(), confidence.tolist())
-        )
-    log.info("wrote %d predictions to %s", len(table), args.out)
+        fh.write(data.csv_text([header + ["N_churn", "NC_churn"]]))
+        for rows, lines in blocks:
+            table, block_bad = data.parse_block(rows, colmap, lines)
+            predicted, confidence, unseen = model.score(trained, table)
+            # tolist() first: repr of a numpy float64 is "np.float64(...)"
+            fh.write(data.csv_text(
+                rows[i] + ["true" if p else "false", repr(c)]
+                for i, p, c in zip(table.kept.tolist(), predicted.tolist(), confidence.tolist())
+            ))
+            n_rows += len(rows)
+            n_kept += len(table)
+            n_unseen += unseen
+            bad += block_bad
+        data.check_bad_rows(args.data, n_rows, n_kept, bad)
+        data.warn_unseen(n_unseen)
+    log.info("wrote %d predictions to %s", n_kept, args.out)
     return 0
 
 

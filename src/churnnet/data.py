@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import logging
 import math
 import os
@@ -90,6 +91,10 @@ _HEADER_ALIASES = {
 # Fraction of data rows that may fail to parse before the whole file is
 # rejected.
 MAX_BAD_ROW_FRACTION = 0.01
+
+# Data rows per block read from a CSV file; `predict` parses, scores and
+# writes one block at a time.
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -197,13 +202,15 @@ def _parse_float(token: str, field: str) -> float:
     return v
 
 
-def read_raw_csv(path):
-    """Read the header and the non-blank data rows (lists of strings) of a CSV file.
+def read_csv_blocks(path, size: int):
+    """Read a CSV file as ``(rows, lines)`` blocks of lists of strings.
 
-    Returns ``(header, rows, lines)``, where ``lines[i]`` is the physical line
-    on which ``rows[i]`` starts, the header being line 1: blank lines and
-    quoted cells that span lines do not shift it. A row the csv module cannot
-    read (such as a cell over ``csv.field_size_limit()``) is a SchemaError.
+    The first block holds the header row alone; each later one holds up to
+    ``size`` non-blank data rows, with ``lines[i]`` the physical line on
+    which ``rows[i]`` starts, the header being line 1: blank lines and
+    quoted cells that span lines do not shift it. A row the csv module
+    cannot read (such as a cell over ``csv.field_size_limit()``) is a
+    SchemaError, as are an empty file and bytes that are not UTF-8.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -212,17 +219,37 @@ def read_raw_csv(path):
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty, expected a header row") from None
+            yield [header], [1]
             rows, lines = [], []
             start = reader.line_num + 1
             for row in reader:
                 if "".join(row).strip():  # a row of blank cells is a blank line
                     rows.append(row)
                     lines.append(start)
+                    if len(rows) == size:
+                        yield rows, lines
+                        rows, lines = [], []
                 start = reader.line_num + 1
+            if rows:
+                yield rows, lines
     except UnicodeDecodeError:
         raise SchemaError(_utf8_error(path)) from None
     except csv.Error as exc:
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def read_raw_csv(path):
+    """Read the header and all non-blank data rows of a CSV file at once.
+
+    Returns ``(header, rows, lines)``, the blocks of :func:`read_csv_blocks`
+    joined.
+    """
+    blocks = read_csv_blocks(path, BLOCK_ROWS)
+    (header,), _ = next(blocks)
+    rows, lines = [], []
+    for block_rows, block_lines in blocks:
+        rows += block_rows
+        lines += block_lines
     return header, rows, lines
 
 
@@ -310,15 +337,13 @@ def _float_or_nan(token: str) -> float:
         return math.nan
 
 
-def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
-    """Parse raw data rows into a CustomerTable under one bad-row policy.
+def parse_block(rows, colmap: dict[str, int], lines) -> tuple[CustomerTable, list]:
+    """Parse raw data rows into a CustomerTable of the good ones.
 
-    Each field is checked for a whole column at once. A malformed row is
-    skipped with a logged warning carrying its line (``lines[i]`` for
-    ``rows[i]``); if more than MAX_BAD_ROW_FRACTION of the rows are bad, the
-    whole input is rejected with a SchemaError naming the first few lines.
-    The messages come from ``parse_row`` on the bad rows, so they are those
-    of parsing row by row. ``source`` names the input in messages.
+    Each field is checked for a whole column at once. Returns the table and
+    the bad rows as ``(line, message)`` pairs, ``lines[i]`` being the line of
+    ``rows[i]``. The messages come from ``parse_row`` on the bad rows, so
+    they are those of parsing row by row.
     """
     width = max(colmap.values()) + 1
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -355,16 +380,32 @@ def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
             parse_row(rows[i], colmap, lines[i])
         except ValueError as exc:
             bad.append((lines[i], str(exc)))
-    if rows and len(bad) > MAX_BAD_ROW_FRACTION * len(rows):
+    columns = {f: col[ok] for f, col in columns.items()}
+    return CustomerTable(columns, None if churn is None else churn[ok], kept), bad
+
+
+def check_bad_rows(source, n_rows: int, n_kept: int, bad) -> None:
+    """The bad-row policy over ``n_rows`` data rows, ``bad`` as from parse_block.
+
+    If more than MAX_BAD_ROW_FRACTION of the rows are bad, the whole input
+    is rejected with a SchemaError naming the first few lines; otherwise
+    each bad row is logged as a skipped line. ``source`` names the input.
+    """
+    if n_rows and len(bad) > MAX_BAD_ROW_FRACTION * n_rows:
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
         raise SchemaError(
-            f"{source}: {len(bad)} of {len(rows)} rows failed to parse ({detail} ...)"
+            f"{source}: {len(bad)} of {n_rows} rows failed to parse ({detail} ...)"
         )
     for line_no, msg in bad:
         log.warning("%s: skipped line %d: %s", source, line_no, msg)
-    log.info("%s: parsed %d records (%d rows skipped)", source, len(kept), len(bad))
-    columns = {f: col[ok] for f, col in columns.items()}
-    return CustomerTable(columns, None if churn is None else churn[ok], kept)
+    log.info("%s: parsed %d records (%d rows skipped)", source, n_kept, len(bad))
+
+
+def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
+    """:func:`parse_block` of all the rows under :func:`check_bad_rows`."""
+    table, bad = parse_block(rows, colmap, lines)
+    check_bad_rows(source, len(rows), len(table), bad)
+    return table
 
 
 def parse_rows(
@@ -400,6 +441,26 @@ def open_atomic(path, newline=None):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+def csv_text(rows) -> str:
+    """Rows of string cells as CSV text, byte for byte as ``csv.writer`` writes them.
+
+    Each row is its cells joined by commas and ended by CRLF, which is how
+    the excel dialect writes a row with no quoted cell. The dialect quotes
+    a cell holding ``,`` ``"`` CR or LF, and the cell of a row that is one
+    empty cell; if any row has such a cell, all the rows go through
+    ``csv.writer``.
+    """
+    rows = list(rows)
+    texts = [",".join(row) for row in rows]
+    joined = "".join(texts)
+    if ('"' in joined or "\r" in joined or "\n" in joined or [""] in rows
+            or joined.count(",") != sum(map(len, rows)) - len(rows)):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+    return "\r\n".join(texts + [""])
 
 
 def write_csv(records, path) -> None:
@@ -554,13 +615,13 @@ def feature_columns(schema: EncodingSchema) -> dict[str, slice]:
     return columns
 
 
-def encode_features(records, schema: EncodingSchema):
+def encode_features(records, schema: EncodingSchema, warn: bool = True):
     """Encode a CustomerTable, or a sequence of records, field by field.
 
     Gives the same matrix, bit for bit, as stacking ``encode`` of each
     record. Returns ``(matrix, n_unseen)`` where n_unseen tallies
     categorical values that were absent from the training data and encoded
-    as all-zero groups.
+    as all-zero groups; with ``warn``, :func:`warn_unseen` logs the tally.
     """
     fields = feature_columns(schema)
     if isinstance(records, CustomerTable):
@@ -592,9 +653,15 @@ def encode_features(records, schema: EncodingSchema):
                     x = (np.array(values, dtype=float) - lo) / (hi - lo)
                 # min(1.0, max(0.0, x)) as in encode; np.clip would keep -0.0
                 matrix[:, cols.start] = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
+    if warn:
+        warn_unseen(n_unseen)
+    return matrix, n_unseen
+
+
+def warn_unseen(n_unseen: int) -> None:
+    """Log a warning for a non-zero count of unseen categorical values."""
     if n_unseen:
         log.warning("%d categorical value(s) unseen at fit time, encoded as zeros", n_unseen)
-    return matrix, n_unseen
 
 
 def split(records, holdout_fraction: float, seed: int):

@@ -286,17 +286,22 @@ def predict(model: TrainedModel, record) -> Prediction:
     return predict_batch(model, [record])[0]
 
 
-def score(model: TrainedModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decide` on a CustomerTable or records, with one forward pass."""
-    feats, _ = data.encode_features(records, model.schema)
-    return decide(forward_batch(model.network, feats))
+def score(model: TrainedModel, records):
+    """:func:`decide` on a CustomerTable or records, with one forward pass.
+
+    Returns the predictions, the confidences and the count of unseen
+    categorical values, which the caller logs (``data.warn_unseen``).
+    """
+    feats, n_unseen = data.encode_features(records, model.schema, warn=False)
+    return (*decide(forward_batch(model.network, feats)), n_unseen)
 
 
 def predict_batch(model: TrainedModel, records) -> list[Prediction]:
     """Score many records with one forward pass."""
     if not records:
         return []
-    predicted, confidence = score(model, records)
+    predicted, confidence, n_unseen = score(model, records)
+    data.warn_unseen(n_unseen)
     return [Prediction(*pc) for pc in zip(predicted.tolist(), confidence.tolist())]
 
 

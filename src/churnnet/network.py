@@ -23,6 +23,16 @@ from .errors import ConfigError, ShapeError
 # transfer function saturates instead of overflowing.
 SIGMOID_CLAMP = 500.0
 
+# forward_batch pads a batch to a multiple of this many rows. BLAS computes
+# the rows of a partial tile of a matrix product with other kernels, which
+# can round differently, so unpadded, a row's outputs could change in the
+# last bit with the number of rows in its batch. 32 is a multiple of the
+# tile heights (4 to 16 rows) of OpenBLAS's kernels on common CPUs. OpenBLAS
+# also picks its kernels by the size of the whole product, so a batch of
+# tens of thousands of rows can still round some rows differently from a
+# batch of a thousand.
+BATCH_ROW_MULTIPLE = 32
+
 
 def sigmoid(x):
     """Logistic transfer function 1 / (1 + e^-x); accepts scalars or arrays."""
@@ -145,15 +155,20 @@ def forward_batch(net: Network, x) -> np.ndarray:
 
     Returns the output-layer activations, shape ``(n_rows, n_out)``. Used for
     scoring and evaluation; training always goes through :func:`forward`.
+    The batch is padded to a multiple of BATCH_ROW_MULTIPLE rows.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[1] != net.layer_sizes[0]:
         raise ShapeError(
             f"batch has shape {a.shape}, network expects (*, {net.layer_sizes[0]})"
         )
+    n_rows = a.shape[0]
+    pad = -n_rows % BATCH_ROW_MULTIPLE
+    if pad:
+        a = np.concatenate([a, np.zeros((pad, a.shape[1]))])
     for w, th in zip(net.weights, net.thresholds):
         a = sigmoid(a @ w + th)
-    return a
+    return a[:n_rows]
 
 
 def output_deltas(acts: Activations, target) -> np.ndarray:

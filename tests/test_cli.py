@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
-import csv
+import dataclasses
 import json
+import logging
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnnet import cli, data, model
 
@@ -294,23 +297,35 @@ class TestPredict:
     def test_failed_write_keeps_previous_output(
         self, small_csv, model_file, tmp_path, capsys, monkeypatch
     ):
-        real_writer = csv.writer
+        real_open = open
 
-        class DiskFullWriter:
-            """A csv writer whose disk fills after the header and one row."""
+        class DiskFullFile:
+            """A file whose disk fills after its first write, the header."""
 
             def __init__(self, fh):
-                self.writerow = real_writer(fh).writerow
+                self.fh, self.writes = fh, 0
 
-            def writerows(self, rows):
-                self.writerow(next(iter(rows)))
-                raise OSError(28, "No space left on device")
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if self.writes:
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return self.fh.write(text)
+
+        def disk_full_open(file, mode="r", **kwargs):
+            fh = real_open(file, mode, **kwargs)
+            return DiskFullFile(fh) if "x" in mode else fh
 
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out_path = out_dir / "scored.csv"
         out_path.write_text("previous\n", encoding="utf-8")
-        monkeypatch.setattr(csv, "writer", DiskFullWriter)
+        monkeypatch.setattr(data, "open", disk_full_open, raising=False)
         code, _, err = run(
             capsys, "predict", "--data", str(small_csv), "--model", str(model_file),
             "--out", str(out_path),
@@ -340,6 +355,110 @@ class TestPredict:
             "--out", str(tmp_path / "scored.csv"),
         )
         assert open(small_csv, "rb").read() == before
+
+
+    def test_label_cells_are_echoed_not_parsed(self, small_records, model_file, tmp_path, capsys):
+        csv_path = tmp_path / "unknown_labels.csv"
+        data.write_csv(small_records[:200], csv_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[1:] = [line.rsplit(",", 1)[0] + ",?" for line in lines[1:]]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "scored.csv"
+        code, _, err = run(
+            capsys, "predict", "--data", str(csv_path), "--model", str(model_file),
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        out_lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert len(out_lines) == 201
+        assert all(o.startswith(i + ",") for i, o in zip(lines[1:], out_lines[1:]))
+
+
+def predict_run(capsys, caplog, monkeypatch, block_rows, csv_path, model_file, out_path):
+    """predict with ``data.BLOCK_ROWS`` set: exit code, --out bytes (None if
+    absent), the names beside it, stderr and the log records."""
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        code, _, err = run(
+            capsys, "predict", "--data", str(csv_path), "--model", str(model_file),
+            "--out", str(out_path),
+        )
+    logs = [(r.levelname, r.getMessage()) for r in caplog.records]
+    body = out_path.read_bytes() if out_path.exists() else None
+    return code, body, sorted(p.name for p in out_path.parent.iterdir()), err, logs
+
+
+def edge_case_lines(small_records, n_bad):
+    """Unlabeled CSV lines with n_bad bad rows, blank lines, a quoted cell
+    spanning two lines and unseen area codes, spread over many small blocks."""
+    rows = [data.record_to_row(dataclasses.replace(r, churn=None)) for r in small_records[:120]]
+    area = data.FIELD_NAMES.index("area_code")
+    for i in (2, 3, 9, 50):
+        rows[i][area] = "999"
+    rows[6][0] = "K\nS"  # state, quoted across two physical lines
+    for k, i in enumerate((4, 5, 13, 14, 15, 21, 40, 77)[:n_bad]):
+        if k % 2:
+            rows[i] = rows[i][:-3]
+        else:
+            rows[i][data.FIELD_NAMES.index("account_length")] = "n/a"
+    lines = [",".join(data.FIELD_NAMES)]
+    for i, row in enumerate(rows):
+        lines.append(",".join(f'"{c}"' if "\n" in c else c for c in row))
+        if i in (1, 7, 8, 30):
+            lines.append("")
+    return lines
+
+
+class TestPredictBlocks:
+    """predict in blocks of 3 and 7 rows gives what one block gives."""
+
+    @pytest.mark.parametrize("n_bad", [1, 8])
+    def test_block_edges_do_not_change_output(
+        self, small_records, model_file, tmp_path, capsys, caplog, monkeypatch, n_bad
+    ):
+        csv_path = tmp_path / "edges.csv"
+        csv_path.write_text("\n".join(edge_case_lines(small_records, n_bad)) + "\n",
+                            encoding="utf-8")
+        out_path = tmp_path / "out" / "scored.csv"
+        out_path.parent.mkdir()
+        results = []
+        for block_rows in (10**6, 3, 7):
+            out_path.write_bytes(b"previous\n")
+            results.append(predict_run(capsys, caplog, monkeypatch, block_rows, csv_path,
+                                       model_file, out_path))
+        code, body, names, err, logs = results[0]
+        assert results[1] == results[0] and results[2] == results[0]
+        assert names == ["scored.csv"]
+        if n_bad == 1:
+            assert code == 0
+            assert b'"K\nS"' in body and body.count(b"\r\n") == 1 + 119
+            assert ("WARNING", "4 categorical value(s) unseen at fit time, encoded as zeros") in logs
+            assert [m for lvl, m in logs if lvl == "WARNING"][0].endswith(
+                "skipped line 7: account_length must be an integer, got 'n/a'")
+        else:
+            assert code == 1 and body == b"previous\n"
+            assert "8 of 120 rows failed to parse (line 7: " in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(body=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.text(alphabet=',"\r\n x9.-yes\xe9', max_size=30), max_size=6).map(
+        lambda lines: (",".join(data.FIELD_NAMES) + "\n" + "\n".join(lines)).encode()),
+    st.binary(max_size=120).map(lambda b: (",".join(data.FIELD_NAMES) + ",churn\n").encode() + b),
+))
+def test_predict_on_arbitrary_bytes_exits_cleanly(model_file, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "in.csv")
+        with open(csv_path, "wb") as fh:
+            fh.write(body)
+        out_path = os.path.join(tmp, "scored.csv")
+        code = cli.main(["predict", "--data", csv_path, "--model", str(model_file),
+                         "--out", out_path])
+        assert code in (0, 1)
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
 
 
 class TestImportance:

@@ -1,6 +1,8 @@
 """Tests for CSV ingestion, encoding, and splitting."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import logging
 import struct
@@ -517,6 +519,31 @@ def test_columnar_parse_equals_per_row_parse_on_each_cell():
 def test_columnar_parse_equals_per_row_parse(csv_rows, fraction):
     with mock.patch.object(data, "MAX_BAD_ROW_FRACTION", fraction):
         assert_parses_as_per_row(*csv_rows)
+
+
+def test_blocks_keep_physical_lines_running(tmp_path):
+    lines = [HEADER, ROW, "", ROW, '"K', 'S"' + ROW[2:], ROW, "", "", ROW, ROW]
+    path = write_lines(tmp_path / "in.csv", lines)
+    header, rows, starts = data.read_raw_csv(path)
+    assert header == HEADER.split(",") and starts == [2, 4, 5, 7, 10, 11]
+    for size in (1, 2, 4):
+        blocks = list(data.read_csv_blocks(path, size))
+        assert blocks[0] == ([header], [1])
+        assert all(0 < len(rows) <= size for rows, _ in blocks[1:])
+        assert [n for _, ns in blocks[1:] for n in ns] == starts
+        assert [r for rs, _ in blocks[1:] for r in rs] == rows
+
+
+CSV_CELLS = st.text(alphabet=st.sampled_from(',"\r\n a1\u00e9\u4e2d\U0001f600'), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(CSV_CELLS, max_size=4), max_size=5))
+def test_csv_text_equals_csv_writer(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    assert data.csv_text(rows) == buf.getvalue()
+    assert data.csv_text(iter(rows)) == buf.getvalue()
 
 
 class TestSplit:

@@ -157,6 +157,15 @@ class TestForward:
                 batch[i], forward(net, x[i]).output, rtol=1e-14, atol=0
             )
 
+    def test_batch_rows_do_not_depend_on_their_neighbours(self):
+        net = init_network([20, 3, 2], seed=4)
+        x = np.random.default_rng(5).random((101, 20))
+        whole = forward_batch(net, x)
+        for size in (1, 2, 3, 5, 7, 33):
+            parts = np.concatenate([forward_batch(net, x[s:s + size])
+                                    for s in range(0, len(x), size)])
+            assert parts.tobytes() == whole.tobytes(), size
+
     def test_shape_mismatch(self):
         net = init_network([3, 2, 1], seed=0)
         with pytest.raises(ShapeError):
