@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import re
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,55 +24,54 @@ from .errors import ConfigError, SchemaError
 
 log = logging.getLogger(__name__)
 
-# Canonical field order. state and phone_number identify rather than describe
-# a customer and never reach the model.
-FIELD_NAMES = (
-    "state",
-    "account_length",
-    "area_code",
-    "phone_number",
-    "international_plan",
-    "voice_mail_plan",
-    "num_vmail_messages",
-    "total_day_minutes",
-    "total_day_calls",
-    "total_day_charge",
-    "total_eve_minutes",
-    "total_eve_calls",
-    "total_eve_charge",
-    "total_night_minutes",
-    "total_night_calls",
-    "total_night_charge",
-    "total_intl_minutes",
-    "total_intl_calls",
-    "total_intl_charge",
-    "customer_service_calls",
-)
+
+@dataclass
+class CustomerRecord:
+    """One customer row. ``churn`` is None when the file carries no label.
+
+    The one declaration of the customer fields: their order is the CSV
+    column order, and each cell is parsed as its field's type.
+    """
+
+    state: str
+    account_length: int
+    area_code: str
+    phone_number: str
+    international_plan: bool
+    voice_mail_plan: bool
+    num_vmail_messages: int
+    total_day_minutes: float
+    total_day_calls: int
+    total_day_charge: float
+    total_eve_minutes: float
+    total_eve_calls: int
+    total_eve_charge: float
+    total_night_minutes: float
+    total_night_calls: int
+    total_night_charge: float
+    total_intl_minutes: float
+    total_intl_calls: int
+    total_intl_charge: float
+    customer_service_calls: int
+    churn: bool | None = None
+
+
 LABEL_FIELD = "churn"
 
+# The fields, in CSV column order, each with the type CustomerRecord declares.
+_FIELD_TYPES = {
+    f: t for f, t in typing.get_type_hints(CustomerRecord).items() if f != LABEL_FIELD
+}
+FIELD_NAMES = tuple(_FIELD_TYPES)
+BINARY_FIELDS = tuple(f for f, t in _FIELD_TYPES.items() if t is bool)
+INT_FIELDS = tuple(f for f, t in _FIELD_TYPES.items() if t is int)
+FLOAT_FIELDS = tuple(f for f, t in _FIELD_TYPES.items() if t is float)
+NUMERIC_FIELDS = tuple(f for f, t in _FIELD_TYPES.items() if t in (int, float))
+
+# state and phone_number identify rather than describe a customer and never
+# reach the model.
 DROPPED_FIELDS = ("state", "phone_number")
-BINARY_FIELDS = ("international_plan", "voice_mail_plan")
 CATEGORICAL_FIELDS = ("area_code",)
-INT_FIELDS = (
-    "account_length",
-    "num_vmail_messages",
-    "total_day_calls",
-    "total_eve_calls",
-    "total_night_calls",
-    "total_intl_calls",
-    "customer_service_calls",
-)
-FLOAT_FIELDS = (
-    "total_day_minutes",
-    "total_day_charge",
-    "total_eve_minutes",
-    "total_eve_charge",
-    "total_night_minutes",
-    "total_night_charge",
-    "total_intl_minutes",
-    "total_intl_charge",
-)
-NUMERIC_FIELDS = tuple(f for f in FIELD_NAMES if f in INT_FIELDS or f in FLOAT_FIELDS)
 
 # Alternate header spellings seen in public copies of the dataset, already
 # normalized by _canon_header.
@@ -97,42 +97,15 @@ MAX_BAD_ROW_FRACTION = 0.01
 BLOCK_ROWS = 1024
 
 
-@dataclass
-class CustomerRecord:
-    """One customer row. ``churn`` is None when the file carries no label."""
-
-    state: str
-    account_length: int
-    area_code: str
-    phone_number: str
-    international_plan: bool
-    voice_mail_plan: bool
-    num_vmail_messages: int
-    total_day_minutes: float
-    total_day_calls: int
-    total_day_charge: float
-    total_eve_minutes: float
-    total_eve_calls: int
-    total_eve_charge: float
-    total_night_minutes: float
-    total_night_calls: int
-    total_night_charge: float
-    total_intl_minutes: float
-    total_intl_calls: int
-    total_intl_charge: float
-    customer_service_calls: int
-    churn: bool | None = None
-
-
 @dataclass(eq=False)
 class CustomerTable:
     """Parsed data rows held as columns, one array per field.
 
     ``columns`` maps each of FIELD_NAMES, in order, to its values over the
-    kept rows: stripped strings (an object array) for state, area_code and
-    phone_number, bools for the yes/no fields, float64 for the numeric
-    fields. An integer field holds ``float(int(v))``, so a "-0" cell is
-    +0.0 as in a CustomerRecord. ``churn`` is a bool array, or None when the
+    kept rows: strings, bools or numbers, as the field's declared type. A
+    parsed table holds stripped strings in object arrays and numbers as
+    float64, an integer field as ``float(int(v))``, so a "-0" cell is +0.0
+    as in a CustomerRecord. ``churn`` is a bool array, or None when the
     file has no label column. ``kept`` holds the indices, in the raw rows, of
     the rows the columns came from.
     """
@@ -145,13 +118,22 @@ class CustomerTable:
         return len(self.kept)
 
     def records(self) -> list[CustomerRecord]:
-        """One CustomerRecord per kept row, holding Python scalars."""
-        values = [
-            [int(v) for v in col.tolist()] if f in INT_FIELDS else col.tolist()
-            for f, col in self.columns.items()
-        ]
-        churn = [None] * len(self) if self.churn is None else self.churn.tolist()
-        return [CustomerRecord(*row) for row in zip(*values, churn)]
+        """One CustomerRecord per kept row, holding Python scalars.
+
+        Rows are converted BLOCK_ROWS at a time: a list of every value of
+        every column would add some 8 MB per 50,000 rows to the peak.
+        """
+        records = []
+        for start in range(0, len(self), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            values = [
+                [int(v) for v in self.columns[f][rows].tolist()] if f in INT_FIELDS
+                else self.columns[f][rows].tolist()
+                for f in FIELD_NAMES
+            ]
+            churn = [None] * len(values[0]) if self.churn is None else self.churn[rows].tolist()
+            records += [CustomerRecord(*row) for row in zip(*values, churn)]
+        return records
 
 
 def _canon_header(name: str) -> str:
@@ -200,6 +182,15 @@ def _parse_float(token: str, field: str) -> float:
     if v < 0:
         raise ValueError(f"{field} must be >= 0, got {token!r}")
     return v
+
+
+# The parser of a cell, by its field's type: parser(token, field).
+_PARSERS = {
+    str: lambda token, _: token.strip(),
+    bool: _parse_yes_no,
+    int: _parse_int,
+    float: _parse_float,
+}
 
 
 def read_csv_blocks(path, size: int):
@@ -290,19 +281,7 @@ def parse_row(row, colmap: dict[str, int], line_no: int) -> CustomerRecord:
     n_cols = max(colmap.values()) + 1
     if len(row) < n_cols:
         raise ValueError(f"line {line_no}: expected {n_cols} columns, got {len(row)}")
-    values: dict[str, object] = {}
-    for f in FIELD_NAMES:
-        token = row[colmap[f]]
-        if f in ("state", "phone_number"):
-            values[f] = token.strip()
-        elif f == "area_code":
-            values[f] = token.strip()
-        elif f in BINARY_FIELDS:
-            values[f] = _parse_yes_no(token, f)
-        elif f in INT_FIELDS:
-            values[f] = _parse_int(token, f)
-        else:
-            values[f] = _parse_float(token, f)
+    values = {f: _PARSERS[t](row[colmap[f]], f) for f, t in _FIELD_TYPES.items()}
     if LABEL_FIELD in colmap:
         values[LABEL_FIELD] = _parse_label(row[colmap[LABEL_FIELD]])
     return CustomerRecord(**values)
@@ -408,20 +387,11 @@ def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
     return table
 
 
-def parse_rows(
-    rows, colmap: dict[str, int], source, lines
-) -> tuple[list[CustomerRecord], list[int]]:
-    """:func:`parse_table` as records, and the indices in ``rows`` of their rows."""
-    table = parse_table(rows, colmap, source, lines)
-    return table.records(), table.kept.tolist()
-
-
 def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
-    """Parse the churn CSV into records, skipping bad rows as parse_rows does."""
+    """Parse the churn CSV into records, skipping bad rows as parse_table does."""
     header, rows, lines = read_raw_csv(path)
     colmap = map_header(header, require_label=require_label)
-    records, _ = parse_rows(rows, colmap, path, lines)
-    return records
+    return parse_table(rows, colmap, path, lines).records()
 
 
 @contextlib.contextmanager

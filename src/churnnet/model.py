@@ -62,10 +62,17 @@ class TrainingConfig:
             raise ConfigError(
                 f"hidden_range must be a non-empty interval within [1, 64], got {self.hidden_range}"
             )
+        _check_seed(self.seed)
 
     @property
     def params(self) -> LearningParams:
         return LearningParams(self.eta, self.alpha)
+
+
+def _check_seed(seed: int) -> None:
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -344,6 +351,7 @@ def importance(model: TrainedModel, records, seed: int = 0) -> ImportanceReport:
     accuracy drop, clamped at zero and scaled by the largest drop, is the
     field's score. Fields whose shuffling changes nothing score 0.0.
     """
+    _check_seed(seed)
     if not records:
         raise EvaluationError("no records to measure importance on")
     if any(r.churn is None for r in records):

@@ -78,34 +78,30 @@ def generate(n: int = DEFAULT_N, seed: int = 0) -> list[data.CustomerRecord]:
     churn_p[intl_plan & (intl_minutes >= INTL_TRIGGER_MINUTES)] = INTL_CHURN_P
     churn = rng.random(n) < churn_p
 
-    records = []
-    for i in range(n):
-        records.append(
-            data.CustomerRecord(
-                state=str(state[i]),
-                account_length=int(account_length[i]),
-                area_code=str(area_code[i]),
-                phone_number=f"{phone_a[i]}-{phone_b[i]:04d}",
-                international_plan=bool(intl_plan[i]),
-                voice_mail_plan=bool(vmail_plan[i]),
-                num_vmail_messages=int(vmail_msgs[i]),
-                total_day_minutes=float(day_minutes[i]),
-                total_day_calls=int(day_calls[i]),
-                total_day_charge=float(np.round(day_minutes[i] * DAY_RATE, 2)),
-                total_eve_minutes=float(eve_minutes[i]),
-                total_eve_calls=int(eve_calls[i]),
-                total_eve_charge=float(np.round(eve_minutes[i] * EVE_RATE, 2)),
-                total_night_minutes=float(night_minutes[i]),
-                total_night_calls=int(night_calls[i]),
-                total_night_charge=float(np.round(night_minutes[i] * NIGHT_RATE, 2)),
-                total_intl_minutes=float(intl_minutes[i]),
-                total_intl_calls=int(intl_calls[i]),
-                total_intl_charge=float(np.round(intl_minutes[i] * INTL_RATE, 2)),
-                customer_service_calls=int(service_calls[i]),
-                churn=bool(churn[i]),
-            )
-        )
-    return records
+    phone_number = [f"{a}-{b:04d}" for a, b in zip(phone_a.tolist(), phone_b.tolist())]
+    columns = {
+        "state": state,
+        "account_length": account_length,
+        "area_code": area_code,
+        "phone_number": np.array(phone_number),
+        "international_plan": intl_plan,
+        "voice_mail_plan": vmail_plan,
+        "num_vmail_messages": vmail_msgs,
+        "total_day_minutes": day_minutes,
+        "total_day_calls": day_calls,
+        "total_day_charge": np.round(day_minutes * DAY_RATE, 2),
+        "total_eve_minutes": eve_minutes,
+        "total_eve_calls": eve_calls,
+        "total_eve_charge": np.round(eve_minutes * EVE_RATE, 2),
+        "total_night_minutes": night_minutes,
+        "total_night_calls": night_calls,
+        "total_night_charge": np.round(night_minutes * NIGHT_RATE, 2),
+        "total_intl_minutes": intl_minutes,
+        "total_intl_calls": intl_calls,
+        "total_intl_charge": np.round(intl_minutes * INTL_RATE, 2),
+        "customer_service_calls": service_calls,
+    }
+    return data.CustomerTable(columns, churn, np.arange(n)).records()
 
 
 def main(argv=None) -> int:

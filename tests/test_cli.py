@@ -5,11 +5,13 @@ import json
 import logging
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnnet import cli, data, model
+from test_model import mutate_model_doc
 
 
 TRAIN_FLAGS = [
@@ -491,3 +493,97 @@ class TestImportance:
         )
         assert code == 0
         assert "customer_service_calls" in out
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("command", ["train", "importance"])
+def test_negative_seed_fails_cleanly(
+    small_csv, model_file, tmp_path, capsys, monkeypatch, command, via_env
+):
+    model_path = model_file if command == "importance" else tmp_path / "m.json"
+    argv = [command, "--data", str(small_csv), "--model", str(model_path)]
+    if via_env:
+        monkeypatch.setenv("CHURNNET_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: seed must be >= 0, got -1"]
+    assert not list(tmp_path.iterdir())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st_data=st.data())
+def test_mutated_model_exits_cleanly(small_csv, model_file, st_data):
+    # one key deleted, one leaf retyped or one list shortened
+    doc = json.loads(model_file.read_text())
+    mutate_model_doc(doc, st_data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path = os.path.join(tmp, "model.json")
+        with open(model_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out_path = os.path.join(tmp, "scored.csv")
+        for argv in (["evaluate"], ["predict", "--out", out_path]):
+            code = cli.main(argv + ["--data", str(small_csv), "--model", model_path])
+            assert code in (0, 1)
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
+
+
+def _int_over(text: str, limit: int) -> bool:
+    try:
+        return int(text) > limit
+    except ValueError:
+        return False
+
+
+# Any text an environment variable can hold: no NUL, no lone surrogate.
+ENV_TEXT = st.text(
+    st.one_of(st.sampled_from("0123456789.-+e_ "),
+              st.characters(exclude_categories=("Cs",), exclude_characters="\x00")),
+    max_size=8,
+)
+
+
+def env_value(name: str):
+    """A value of the variable's type or arbitrary text. Counts stay at most
+    50, so that no drawn configuration trains for long."""
+    kind = str if name == "format" else type(cli._default(name))
+    if kind is int:
+        return st.one_of(st.sampled_from(["-1", "0", "1"]), st.integers(-50, 50).map(str),
+                         ENV_TEXT.filter(lambda text: not _int_over(text, 50)))
+    typed = st.floats(-0.5, 1.5).map(repr) if kind is float else st.sampled_from(
+        ["human", "machine"])
+    return st.one_of(typed, ENV_TEXT)
+
+
+# A few of the CHURNNET_* variables, each with a drawn value.
+ENVIRONMENTS = st.lists(
+    st.sampled_from([*cli._TRAINING_FLAGS, "format"]), max_size=3, unique=True,
+).flatmap(lambda names: st.fixed_dictionaries(
+    {cli.ENV_PREFIX + name.upper(): env_value(name) for name in names}))
+
+
+@pytest.fixture(scope="module")
+def sixty_csv(small_records, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "sixty.csv"
+    data.write_csv(small_records[:60], path)
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(env=ENVIRONMENTS)
+def test_environment_values_exit_cleanly(sixty_csv, model_file, env):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        for name in list(os.environ):
+            if name.startswith(cli.ENV_PREFIX):
+                del os.environ[name]
+        os.environ.update(env)
+        code = cli.main(["train", "--data", str(sixty_csv),
+                         "--model", os.path.join(tmp, "model.json")])
+        assert code in (0, 1)
+        code = cli.main(["importance", "--data", str(sixty_csv), "--model", str(model_file)])
+        assert code in (0, 1)
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]

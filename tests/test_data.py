@@ -5,7 +5,10 @@ import dataclasses
 import io
 import itertools
 import logging
+import os
 import struct
+import tempfile
+import typing
 from unittest import mock
 
 import numpy as np
@@ -532,6 +535,63 @@ def test_blocks_keep_physical_lines_running(tmp_path):
         assert all(0 < len(rows) <= size for rows, _ in blocks[1:])
         assert [n for _, ns in blocks[1:] for n in ns] == starts
         assert [r for rs, _ in blocks[1:] for r in rs] == rows
+
+
+def test_every_field_has_exactly_one_role():
+    # a field outside every role would be encoded as a number
+    roles = (data.BINARY_FIELDS, data.INT_FIELDS, data.FLOAT_FIELDS,
+             data.DROPPED_FIELDS, data.CATEGORICAL_FIELDS)
+    names = [f.name for f in dataclasses.fields(data.CustomerRecord)]
+    assert names == [*data.FIELD_NAMES, data.LABEL_FIELD]
+    for f in data.FIELD_NAMES:
+        assert [f in role for role in roles].count(True) == 1, f
+
+
+def test_synthetic_records_hold_declared_types_and_linked_charges():
+    hints = typing.get_type_hints(data.CustomerRecord)
+    rates = {"day": synthetic.DAY_RATE, "eve": synthetic.EVE_RATE,
+             "night": synthetic.NIGHT_RATE, "intl": synthetic.INTL_RATE}
+    for r in synthetic.generate(500, seed=3):
+        assert all(type(getattr(r, f)) is (bool if f == "churn" else t) for f, t in hints.items())
+        for period, rate in rates.items():
+            # the per-record form of the generator's column arithmetic
+            minutes = np.float64(getattr(r, f"total_{period}_minutes"))
+            assert getattr(r, f"total_{period}_charge") == float(np.round(minutes * rate, 2))
+
+
+# Text a cell holds and parses back unchanged: parse_row strips both ends,
+# and the csv module of Python 3.10 rejects NUL.
+TEXT_VALUES = st.text(
+    st.one_of(st.sampled_from(',"\u00e9\u4e2d\U0001f600'),
+              st.characters(exclude_categories=("Cs",), exclude_characters="\r\n\x00")),
+    max_size=6,
+).filter(lambda text: text == text.strip())
+VALUES_OF_TYPE = {
+    str: TEXT_VALUES,
+    bool: st.booleans(),
+    int: st.integers(0, 2**53),  # counts parse through float(), exact only up to 2**53
+    float: st.one_of(st.sampled_from([-0.0, 5e-324]),
+                     st.floats(min_value=0.0, allow_infinity=False)),
+}
+
+
+@st.composite
+def record_lists(draw):
+    """Records drawn field by field from the declared types, all labeled or none."""
+    hints = typing.get_type_hints(data.CustomerRecord)
+    fields = {f: VALUES_OF_TYPE[hints[f]] for f in data.FIELD_NAMES}
+    churn = st.booleans() if draw(st.booleans()) else st.none()
+    return draw(st.lists(st.builds(data.CustomerRecord, **fields, churn=churn), max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(records=record_lists())
+def test_write_then_parse_round_trips(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        data.write_csv(records, path)
+        back = data.parse_csv(path, require_label=False)
+    assert [typed_values(r) for r in back] == [typed_values(r) for r in records]
 
 
 CSV_CELLS = st.text(alphabet=st.sampled_from(',"\r\n a1\u00e9\u4e2d\U0001f600'), max_size=4)

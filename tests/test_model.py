@@ -38,7 +38,7 @@ class TestTrainingConfig:
     @pytest.mark.parametrize("kwargs", [
         {"eta": 0.0}, {"alpha": 1.0}, {"max_epochs": 0}, {"patience": 0},
         {"holdout_fraction": 0.0}, {"holdout_fraction": 1.0},
-        {"hidden_range": (5, 3)}, {"hidden_range": (0, 4)},
+        {"hidden_range": (5, 3)}, {"hidden_range": (0, 4)}, {"seed": -1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -288,6 +288,10 @@ class TestImportance:
         with pytest.raises(EvaluationError):
             importance(quick_model, [], seed=0)
 
+    def test_negative_seed_rejected(self, quick_model, small_records):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            importance(quick_model, small_records, seed=-1)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_shuffling_raw_values(self, quick_model, small_records, seed):
         assert importance(quick_model, small_records, seed=seed) == _record_level_importance(
@@ -443,12 +447,16 @@ def _float_version(doc):
     doc["format_version"] = 1.0
 
 
+def _negative_seed(doc):
+    doc["config"]["seed"] = -1
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_weight, _infinite_bound, _short_first_matrix, _long_threshold_vector,
     _three_outputs, _topology_off_schema, _missing_summary, _missing_weights,
     _level_without_feature_name, _missing_numeric_bound, _one_element_bound,
     _inverted_bound, _levels_of_a_numeric_field, _null_weight, _bool_count,
-    _fractional_count, _three_element_bound, _bool_version, _float_version,
+    _fractional_count, _three_element_bound, _bool_version, _float_version, _negative_seed,
 ])
 def test_load_rejects_broken_model(quick_model, tmp_path, corrupt):
     path = tmp_path / "model.json"
@@ -586,16 +594,9 @@ def _wrong_typed(value):
     return st.one_of(others, st.text(max_size=3))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st_data=st.data())
-def test_mutated_model_is_rejected_or_evaluates(quick_model, small_csv, tmp_path_factory, st_data):
-    # Delete one key, give one leaf a value of another type, or drop the
-    # last item of one list: the load either fails with ConfigError or gives
-    # a model with finite weights that evaluates a CSV.
-    draw = st_data.draw
-    path = tmp_path_factory.mktemp("mutated") / "model.json"
-    save_model(quick_model, path)
-    doc = json.loads(path.read_text())
+def mutate_model_doc(doc, draw) -> None:
+    """Delete one key of a model file's JSON document, give one leaf a value
+    of another type, or drop the last item of one list, in place."""
     mutation = draw(st.sampled_from(sorted(_MUTATIONS)))
     where = draw(st.sampled_from([p for p, v in _nodes(doc) if _MUTATIONS[mutation](p, v)]))
     parent = doc
@@ -607,6 +608,17 @@ def test_mutated_model_is_rejected_or_evaluates(quick_model, small_csv, tmp_path
         parent[where[-1]] = draw(_wrong_typed(parent[where[-1]]))
     else:
         parent[where[-1]].pop()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st_data=st.data())
+def test_mutated_model_is_rejected_or_evaluates(quick_model, small_csv, tmp_path_factory, st_data):
+    # One mutation: the load either fails with ConfigError or gives a model
+    # with finite weights that evaluates a CSV.
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    save_model(quick_model, path)
+    doc = json.loads(path.read_text())
+    mutate_model_doc(doc, st_data.draw)
     path.write_text(json.dumps(doc))
 
     try:
