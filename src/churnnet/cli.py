@@ -151,7 +151,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     trained = model.load_model(args.model)
     blocks = data.read_csv_blocks(args.data, data.BLOCK_ROWS)
-    (header,), _ = next(blocks)
+    header = next(blocks)
     colmap = data.map_header(header, require_label=False)
     colmap.pop(data.LABEL_FIELD, None)  # a label cell is echoed, never parsed
 
@@ -161,14 +161,14 @@ def cmd_predict(args) -> int:
     bad = []
     with data.open_atomic(args.out, newline="") as fh:
         fh.write(data.csv_text([header + ["N_churn", "NC_churn"]]))
-        for rows, lines in blocks:
-            table, block_bad = data.parse_block(rows, colmap, lines)
+        for rows in blocks:
+            table, block_bad = data.parse_block(rows, colmap)
             predicted, confidence, unseen = model.score(trained, table)
             # tolist() first: repr of a numpy float64 is "np.float64(...)"
-            fh.write(data.csv_text(
-                rows[i] + ["true" if p else "false", repr(c)]
-                for i, p, c in zip(table.kept.tolist(), predicted.tolist(), confidence.tolist())
-            ))
+            fh.write(rows.csv_text(table.kept.tolist(), [
+                f"{'true' if p else 'false'},{c!r}"
+                for p, c in zip(predicted.tolist(), confidence.tolist())
+            ]))
             n_rows += len(rows)
             n_kept += len(table)
             n_unseen += unseen

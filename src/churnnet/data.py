@@ -8,9 +8,11 @@ the data ("intl plan", "number vmail messages"...) are accepted as aliases.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
+import itertools
 import logging
 import math
 import os
@@ -92,9 +94,20 @@ _HEADER_ALIASES = {
 # rejected.
 MAX_BAD_ROW_FRACTION = 0.01
 
-# Data rows per block read from a CSV file; `predict` parses, scores and
-# writes one block at a time.
+# Physical lines per block read from a CSV file; `predict` parses, scores
+# and writes one block at a time.
 BLOCK_ROWS = 1024
+
+# Counts parse through float(), which holds every whole number below 2**53
+# exactly; a count at or above it is rejected rather than rounded.
+COUNT_LIMIT = 2**53
+
+# Every character str.strip() removes (none lies above U+3000), and the
+# comma: a line of these alone is a blank row.
+_BLANK_CHARS = "," + "".join(filter(str.isspace, map(chr, range(0x3001))))
+
+# Bytes read at a time when looking for the first byte that is not UTF-8.
+_UTF8_SCAN_BYTES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -169,6 +182,8 @@ def _parse_int(token: str, field: str) -> int:
         raise ValueError(f"{field} must be an integer, got {token!r}")
     if v < 0:
         raise ValueError(f"{field} must be >= 0, got {token!r}")
+    if v >= COUNT_LIMIT:
+        raise ValueError(f"{field} must be below 2**53, got {token!r}")
     return int(v)
 
 
@@ -193,16 +208,121 @@ _PARSERS = {
 }
 
 
-def read_csv_blocks(path, size: int):
-    """Read a CSV file as ``(rows, lines)`` blocks of lists of strings.
+@dataclass(eq=False)
+class RowBlock:
+    """Data rows read from a CSV file, their cells held as one matrix.
 
-    The first block holds the header row alone; each later one holds up to
-    ``size`` non-blank data rows, with ``lines[i]`` the physical line on
-    which ``rows[i]`` starts, the header being line 1: blank lines and
-    quoted cells that span lines do not shift it. A row the csv module
-    cannot read (such as a cell over ``csv.field_size_limit()``) is a
-    SchemaError, as are an empty file and bytes that are not UTF-8.
+    ``cells`` is an ``(n, width)`` object array: row i's first ``width``
+    cells, then "" past its end, ``lengths[i]`` being its cell count.
+    ``lines[i]`` is the physical line on which row i starts, the header
+    being line 1. ``raw[i]`` is row i as read: the text of its line without
+    the line end (a str) when it was read as a plain line, else its cells as
+    the csv module read them (a list).
     """
+
+    cells: np.ndarray
+    lengths: np.ndarray
+    lines: list[int]
+    raw: list
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def row(self, i: int) -> list[str]:
+        """Row i's cells."""
+        raw = self.raw[i]
+        return raw.split(",") if isinstance(raw, str) else raw
+
+    @classmethod
+    def from_rows(cls, rows, lines, width: int) -> RowBlock:
+        """The block of ``rows``, lists of cells starting on ``lines``."""
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        even = [rows[i] for i in np.flatnonzero(lengths == width).tolist()]
+        cells = _cell_matrix(lengths, width, np.array(even, dtype=object), rows.__getitem__)
+        return cls(cells, lengths, list(lines), list(rows))
+
+    @classmethod
+    def join(cls, blocks, width: int) -> RowBlock:
+        """One block of the rows of ``blocks``, in order."""
+        return cls(
+            np.concatenate([np.empty((0, width), dtype=object)] + [b.cells for b in blocks]),
+            np.concatenate([np.empty(0, dtype=np.intp)] + [b.lengths for b in blocks]),
+            [n for b in blocks for n in b.lines],
+            [r for b in blocks for r in b.raw],
+        )
+
+    def csv_text(self, indices, tails) -> str:
+        """The rows at ``indices`` as CSV text, ``tails[k]`` being the CSV
+        text of the cells appended to row ``indices[k]``.
+
+        A row is written byte for byte as ``csv.writer`` writes it, ended by
+        CRLF: a row read as a plain line as that line, any other through
+        :func:`row_text`. (A row of one empty cell, which the writer would
+        quote, is blank and never read.)
+        """
+        raw = self.raw
+        return "".join([
+            f"{raw[i] if isinstance(raw[i], str) else row_text(raw[i])},{tail}\r\n"
+            for i, tail in zip(indices, tails)
+        ])
+
+
+def _cell_matrix(lengths, width: int, even_cells, row_of) -> np.ndarray:
+    """The ``(n, width)`` cell matrix of rows with ``lengths`` cells.
+
+    ``even_cells`` holds the cells of the rows of exactly ``width`` cells, in
+    order; ``row_of(i)`` gives any other row i, which is cut or padded.
+    """
+    even = lengths == width
+    even_cells = even_cells.reshape(int(even.sum()), width)
+    if even.all():
+        return even_cells
+    cells = np.full((len(lengths), width), "", dtype=object)
+    cells[even] = even_cells
+    for i in np.flatnonzero(~even).tolist():
+        row = row_of(i)[:width]
+        cells[i, :len(row)] = row
+    return cells
+
+
+def _plain_block(lines, width: int, first_line: int) -> RowBlock:
+    """The block of physical ``lines`` that hold no quote and no NUL, the
+    first being line ``first_line``: each line is one row, its cells split at
+    the commas, and a line of commas and white space alone is a blank row."""
+    # a line holds CR and LF only as its line end
+    bodies = list(map(str.rstrip, lines, itertools.repeat("\r\n")))
+    if all(map(str.strip, bodies, itertools.repeat(_BLANK_CHARS))):
+        starts = list(range(first_line, first_line + len(bodies)))
+    else:
+        kept = [i for i, b in enumerate(bodies) if b.strip(_BLANK_CHARS)]
+        bodies = [bodies[i] for i in kept]
+        starts = [first_line + i for i in kept]
+    lengths = np.fromiter(map(str.count, bodies, itertools.repeat(",")), dtype=np.intp,
+                          count=len(bodies)) + 1
+    even = [bodies[i] for i in np.flatnonzero(lengths == width).tolist()]
+    # one split for all the rows of the header's width
+    split = ",".join(even).split(",") if even else []
+    even_cells = np.empty(len(split), dtype=object)
+    even_cells[:] = split
+    cells = _cell_matrix(lengths, width, even_cells, lambda i: bodies[i].split(","))
+    return RowBlock(cells, lengths, starts, bodies)
+
+
+def read_csv_blocks(path, size: int):
+    """Read a CSV file as its header row, then RowBlocks of its data rows.
+
+    The header is a list of strings. Each block holds the non-blank rows of
+    the next ``size`` physical lines, or of a few more where a quoted cell
+    runs on past them; a block with no row is not yielded. A block of lines
+    with no ``"``, no NUL and no line longer than ``csv.field_size_limit()``
+    is plain: each of its lines is one row, split at its commas. Any other
+    block goes through ``csv.reader``. Either way a row is what
+    ``csv.reader`` reads, and a row of blank cells is a blank line. A row
+    the csv module cannot read (such as a cell over the field size limit)
+    is a SchemaError naming its line, as are an empty file and bytes that
+    are not UTF-8.
+    """
+    line = 0  # physical lines read before the current reader's first one
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -210,51 +330,68 @@ def read_csv_blocks(path, size: int):
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty, expected a header row") from None
-            yield [header], [1]
-            rows, lines = [], []
-            start = reader.line_num + 1
-            for row in reader:
-                if "".join(row).strip():  # a row of blank cells is a blank line
-                    rows.append(row)
-                    lines.append(start)
-                    if len(rows) == size:
-                        yield rows, lines
-                        rows, lines = [], []
-                start = reader.line_num + 1
-            if rows:
-                yield rows, lines
+            yield header
+            line = reader.line_num
+            while lines := list(itertools.islice(fh, size)):
+                text = "".join(lines)
+                if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+                    # the reader pulls a quoted cell's further lines from the file
+                    reader = csv.reader(itertools.chain(lines, fh))
+                    rows, starts = [], []
+                    start = 1
+                    for row in reader:
+                        if "".join(row).strip():  # a row of blank cells is a blank line
+                            rows.append(row)
+                            starts.append(line + start)
+                        if reader.line_num >= len(lines):
+                            break
+                        start = reader.line_num + 1
+                    block = RowBlock.from_rows(rows, starts, len(header))
+                    line += reader.line_num
+                else:
+                    block = _plain_block(lines, len(header), line + 1)
+                    line += len(lines)
+                if len(block):
+                    yield block
     except UnicodeDecodeError:
         raise SchemaError(_utf8_error(path)) from None
     except csv.Error as exc:
-        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise SchemaError(f"{path}: line {line + reader.line_num}: {exc}") from None
 
 
 def read_raw_csv(path):
     """Read the header and all non-blank data rows of a CSV file at once.
 
-    Returns ``(header, rows, lines)``, the blocks of :func:`read_csv_blocks`
-    joined.
+    Returns ``(header, rows, lines)``: the blocks of :func:`read_csv_blocks`
+    joined in one RowBlock, and its ``lines``.
     """
     blocks = read_csv_blocks(path, BLOCK_ROWS)
-    (header,), _ = next(blocks)
-    rows, lines = [], []
-    for block_rows, block_lines in blocks:
-        rows += block_rows
-        lines += block_lines
-    return header, rows, lines
+    header = next(blocks)
+    rows = RowBlock.join(list(blocks), len(header))
+    return header, rows, rows.lines
 
 
 def _utf8_error(path) -> str:
     # The decoder's own position is relative to the chunk it was reading, so
-    # decode the whole file once more to locate the byte in the file.
+    # decode the file once more, a chunk at a time, to locate the byte in it.
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = newlines = 0  # bytes and line ends before the chunk
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        return f"{path}: not UTF-8 at byte {exc.start} (line {line}): {exc.reason}"
-    return f"{path}: not UTF-8"
+        while True:
+            chunk = fh.read(_UTF8_SCAN_BYTES)
+            # a sequence the last chunk ended inside starts before this one
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                at = offset - pending + exc.start
+                # the pending bytes of a sequence hold no line end
+                line = newlines + chunk.count(b"\n", 0, max(0, at - offset)) + 1
+                return f"{path}: not UTF-8 at byte {at} (line {line}): {exc.reason}"
+            if not chunk:
+                return f"{path}: not UTF-8"
+            offset += len(chunk)
+            newlines += chunk.count(b"\n")
 
 
 def map_header(header, require_label: bool = True) -> dict[str, int]:
@@ -287,25 +424,33 @@ def parse_row(row, colmap: dict[str, int], line_no: int) -> CustomerRecord:
     return CustomerRecord(**values)
 
 
-def _lookup(keys, table: dict[str, bool]):
-    """``(values, ok)``: each key's value in ``table``; ok is False where it has none."""
-    codes = np.array([table.get(k, -1) for k in keys], dtype=np.int8)
+def _lookup(cells, table: dict[str, bool], key):
+    """``(values, ok)``: the value in ``table`` of ``key(cell)`` for each
+    cell; ok is False where it has none. ``key`` runs once per distinct cell."""
+    code_of = {c: table.get(key(c), -1) for c in set(cells)}
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.int8, count=len(cells))
     return codes == 1, codes >= 0
 
 
-def _numbers(cells, integral: bool):
-    """``(values, ok)`` of a numeric column: float() of each cell, which must
-    be finite and >= 0, and also whole when ``integral``."""
+def _numbers(cells, integral):
+    """``(values, ok)`` of numeric columns, both of the shape of ``cells``:
+    float() of each cell, which must be finite and >= 0, and also whole and
+    below COUNT_LIMIT in the columns where ``integral`` is True."""
     try:
         # an object array converts by float() itself; a "<U" array would not
         # (it drops a trailing NUL that float() rejects)
         v = cells.astype(float)
     except ValueError:
-        v = np.array([_float_or_nan(c) for c in cells.tolist()])
+        v = np.empty(cells.shape)
+        for j, col in enumerate(cells.T):
+            try:
+                v[:, j] = col.astype(float)
+            except ValueError:
+                v[:, j] = [_float_or_nan(c) for c in col.tolist()]
     ok = np.isfinite(v) & (v >= 0.0)
-    if integral:
-        ok &= np.trunc(v) == v
-        v = v + 0.0  # float(int(v)): "-0" gives +0.0
+    whole = v[:, integral]
+    ok[:, integral] &= (np.trunc(whole) == whole) & (whole < COUNT_LIMIT)
+    v[:, integral] = whole + 0.0  # float(int(v)): "-0" gives +0.0
     return v, ok
 
 
@@ -316,38 +461,35 @@ def _float_or_nan(token: str) -> float:
         return math.nan
 
 
-def parse_block(rows, colmap: dict[str, int], lines) -> tuple[CustomerTable, list]:
-    """Parse raw data rows into a CustomerTable of the good ones.
+def parse_block(rows: RowBlock, colmap: dict[str, int]) -> tuple[CustomerTable, list]:
+    """Parse a block of raw data rows into a CustomerTable of the good ones.
 
     Each field is checked for a whole column at once. Returns the table and
-    the bad rows as ``(line, message)`` pairs, ``lines[i]`` being the line of
-    ``rows[i]``. The messages come from ``parse_row`` on the bad rows, so
-    they are those of parsing row by row.
+    the bad rows as ``(line, message)`` pairs. The messages come from
+    ``parse_row`` on the bad rows, so they are those of parsing row by row.
     """
     width = max(colmap.values()) + 1
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    full = np.flatnonzero(lengths >= width)  # a short row is bad as a whole
-    picked = [rows[i] for i in full.tolist()]
-    for k in np.flatnonzero(lengths[full] > width).tolist():
-        picked[k] = picked[k][:width]
-    cells = np.array(picked, dtype=object).reshape(len(full), width)
+    full = np.flatnonzero(rows.lengths >= width)  # a short row is bad as a whole
+    cells = rows.cells[full, :width]
 
-    ok = np.ones(len(full), dtype=bool)
+    # all numeric columns at once
+    numbers, numbers_ok = _numbers(cells[:, [colmap[f] for f in NUMERIC_FIELDS]],
+                                   np.array([f in INT_FIELDS for f in NUMERIC_FIELDS]))
+    ok = numbers_ok.all(axis=1)
     columns: dict[str, np.ndarray] = {}
     for f in FIELD_NAMES:
         col = cells[:, colmap[f]]
         if f in BINARY_FIELDS:
-            columns[f], col_ok = _lookup([c.strip().lower() for c in col.tolist()], _YES_NO)
+            columns[f], col_ok = _lookup(col.tolist(), _YES_NO, lambda c: c.strip().lower())
             ok &= col_ok
         elif f in NUMERIC_FIELDS:
-            columns[f], col_ok = _numbers(col, f in INT_FIELDS)
-            ok &= col_ok
+            columns[f] = numbers[:, NUMERIC_FIELDS.index(f)]
         else:
-            columns[f] = np.array([c.strip() for c in col.tolist()], dtype=object)
+            columns[f] = np.array(list(map(str.strip, col.tolist())), dtype=object)
     churn = None
     if LABEL_FIELD in colmap:
         labels = cells[:, colmap[LABEL_FIELD]]
-        churn, col_ok = _lookup([c.strip().rstrip(".").lower() for c in labels.tolist()], _LABELS)
+        churn, col_ok = _lookup(labels.tolist(), _LABELS, lambda c: c.strip().rstrip(".").lower())
         ok &= col_ok
 
     kept = full[ok]
@@ -356,11 +498,13 @@ def parse_block(rows, colmap: dict[str, int], lines) -> tuple[CustomerTable, lis
     bad: list[tuple[int, str]] = []
     for i in np.flatnonzero(~good).tolist():
         try:
-            parse_row(rows[i], colmap, lines[i])
+            parse_row(rows.row(i), colmap, rows.lines[i])
         except ValueError as exc:
-            bad.append((lines[i], str(exc)))
-    columns = {f: col[ok] for f, col in columns.items()}
-    return CustomerTable(columns, None if churn is None else churn[ok], kept), bad
+            bad.append((rows.lines[i], str(exc)))
+    if len(kept) < len(full):
+        columns = {f: col[ok] for f, col in columns.items()}
+        churn = None if churn is None else churn[ok]
+    return CustomerTable(columns, churn, kept), bad
 
 
 def check_bad_rows(source, n_rows: int, n_kept: int, bad) -> None:
@@ -380,18 +524,18 @@ def check_bad_rows(source, n_rows: int, n_kept: int, bad) -> None:
     log.info("%s: parsed %d records (%d rows skipped)", source, n_kept, len(bad))
 
 
-def parse_table(rows, colmap: dict[str, int], source, lines) -> CustomerTable:
+def parse_table(rows: RowBlock, colmap: dict[str, int], source) -> CustomerTable:
     """:func:`parse_block` of all the rows under :func:`check_bad_rows`."""
-    table, bad = parse_block(rows, colmap, lines)
+    table, bad = parse_block(rows, colmap)
     check_bad_rows(source, len(rows), len(table), bad)
     return table
 
 
 def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
     """Parse the churn CSV into records, skipping bad rows as parse_table does."""
-    header, rows, lines = read_raw_csv(path)
+    header, rows, _ = read_raw_csv(path)
     colmap = map_header(header, require_label=require_label)
-    return parse_table(rows, colmap, path, lines).records()
+    return parse_table(rows, colmap, path).records()
 
 
 @contextlib.contextmanager
@@ -413,24 +557,28 @@ def open_atomic(path, newline=None):
             os.unlink(tmp)
 
 
-def csv_text(rows) -> str:
-    """Rows of string cells as CSV text, byte for byte as ``csv.writer`` writes them.
+def row_text(row) -> str:
+    """A row of string cells as CSV text without its line end, byte for
+    byte as ``csv.writer`` writes it.
 
-    Each row is its cells joined by commas and ended by CRLF, which is how
-    the excel dialect writes a row with no quoted cell. The dialect quotes
-    a cell holding ``,`` ``"`` CR or LF, and the cell of a row that is one
-    empty cell; if any row has such a cell, all the rows go through
-    ``csv.writer``.
+    That is its cells joined by commas, which is how the excel dialect
+    writes a row with no quoted cell. The dialect quotes a cell holding
+    ``,`` ``"`` CR or LF, and the cell of a row that is one empty cell; a
+    row with such a cell goes through ``csv.writer``.
     """
-    rows = list(rows)
-    texts = [",".join(row) for row in rows]
-    joined = "".join(texts)
-    if ('"' in joined or "\r" in joined or "\n" in joined or [""] in rows
-            or joined.count(",") != sum(map(len, rows)) - len(rows)):
+    text = ",".join(row)
+    if ('"' in text or "\r" in text or "\n" in text or text.count(",") != len(row) - 1
+            or row == [""]):
         buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        return buf.getvalue()
-    return "\r\n".join(texts + [""])
+        csv.writer(buf).writerow(row)
+        return buf.getvalue()[:-2]
+    return text
+
+
+def csv_text(rows) -> str:
+    """Rows of string cells as CSV text, each ended by CRLF, byte for byte
+    as ``csv.writer`` writes them (see :func:`row_text`)."""
+    return "".join([f"{row_text(row)}\r\n" for row in rows])
 
 
 def write_csv(records, path) -> None:

@@ -392,8 +392,9 @@ def predict_run(capsys, caplog, monkeypatch, block_rows, csv_path, model_file, o
 
 
 def edge_case_lines(small_records, n_bad):
-    """Unlabeled CSV lines with n_bad bad rows, blank lines, a quoted cell
-    spanning two lines and unseen area codes, spread over many small blocks."""
+    """Unlabeled CSV lines with n_bad bad rows, blank lines, quoted cells
+    spanning two lines (one from line 22, the last line of a block at sizes
+    3 and 7) and unseen area codes, spread over many small blocks."""
     rows = [data.record_to_row(dataclasses.replace(r, churn=None)) for r in small_records[:120]]
     area = data.FIELD_NAMES.index("area_code")
     for i in (2, 3, 9, 50):
@@ -406,9 +407,12 @@ def edge_case_lines(small_records, n_bad):
             rows[i][data.FIELD_NAMES.index("account_length")] = "n/a"
     lines = [",".join(data.FIELD_NAMES)]
     for i, row in enumerate(rows):
+        if len("\n".join(lines).split("\n")) == 21:  # the row starts on line 22
+            row[0] = "N\nY"
         lines.append(",".join(f'"{c}"' if "\n" in c else c for c in row))
         if i in (1, 7, 8, 30):
             lines.append("")
+    assert "\n".join(lines).split("\n")[21].startswith('"N')
     return lines
 
 
@@ -420,21 +424,22 @@ class TestPredictBlocks:
         self, small_records, model_file, tmp_path, capsys, caplog, monkeypatch, n_bad
     ):
         csv_path = tmp_path / "edges.csv"
-        csv_path.write_text("\n".join(edge_case_lines(small_records, n_bad)) + "\n",
-                            encoding="utf-8")
         out_path = tmp_path / "out" / "scored.csv"
         out_path.parent.mkdir()
         results = []
-        for block_rows in (10**6, 3, 7):
-            out_path.write_bytes(b"previous\n")
-            results.append(predict_run(capsys, caplog, monkeypatch, block_rows, csv_path,
-                                       model_file, out_path))
+        for newline in ("\n", "\r"):  # the quoted cells hold LF either way
+            csv_path.write_bytes(
+                newline.join(edge_case_lines(small_records, n_bad)).encode() + newline.encode())
+            for block_rows in (10**6, 3, 7):
+                out_path.write_bytes(b"previous\n")
+                results.append(predict_run(capsys, caplog, monkeypatch, block_rows, csv_path,
+                                           model_file, out_path))
         code, body, names, err, logs = results[0]
-        assert results[1] == results[0] and results[2] == results[0]
+        assert all(result == results[0] for result in results)
         assert names == ["scored.csv"]
         if n_bad == 1:
             assert code == 0
-            assert b'"K\nS"' in body and body.count(b"\r\n") == 1 + 119
+            assert b'"K\nS"' in body and b'"N\nY"' in body and body.count(b"\r\n") == 1 + 119
             assert ("WARNING", "4 categorical value(s) unseen at fit time, encoded as zeros") in logs
             assert [m for lvl, m in logs if lvl == "WARNING"][0].endswith(
                 "skipped line 7: account_length must be an integer, got 'n/a'")

@@ -167,6 +167,30 @@ class TestParsing:
         (rec,) = data.parse_csv(path)
         assert rec.account_length == 128
 
+    @pytest.mark.parametrize("cell", ["9007199254740992", "9007199254740993", "1e16"])
+    def test_count_from_2_to_the_53_rejected_by_parse_row(self, cell):
+        row = ROW.split(",")
+        row[1] = cell  # account_length
+        colmap = data.map_header(HEADER.split(","))
+        with pytest.raises(ValueError) as exc:
+            data.parse_row(row, colmap, 2)
+        assert str(exc.value) == f"account_length must be below 2**53, got {cell!r}"
+        row[1] = "9007199254740991"
+        assert data.parse_row(row, colmap, 2).account_length == 2**53 - 1
+
+    @pytest.mark.parametrize("cell", ["9007199254740992", "9007199254740993", "1e16"])
+    def test_count_from_2_to_the_53_rejected_by_column_parse(self, tmp_path, caplog, cell):
+        big = ROW.split(",")
+        big[1] = cell
+        path = write_lines(tmp_path / "big.csv", [HEADER] + [ROW] * 150 + [",".join(big)])
+        with caplog.at_level(logging.WARNING):
+            records = data.parse_csv(path)
+        assert len(records) == 150
+        assert f"skipped line 152: account_length must be below 2**53, got {cell!r}" in caplog.text
+        below = ROW.replace(",128,", ",9007199254740991,")
+        (rec,) = data.parse_csv(write_lines(tmp_path / "below.csv", [HEADER, below]))
+        assert rec.account_length == 2**53 - 1
+
 
 class TestEncoding:
     def test_one_hot_target(self):
@@ -427,12 +451,14 @@ class Warnings(logging.Handler):
             self.messages.append(record.getMessage())
 
 
-INT_CELLS = ("0", "7", "128", "3.0", " 42 ", "1e2", "-0", "-0.0", "1_000", "\u0663")
+INT_CELLS = ("0", "7", "128", "3.0", " 42 ", "1e2", "-0", "-0.0", "1_000", "\u0663",
+             "9007199254740991")
 FLOAT_CELLS = INT_CELLS + ("12.5", "+.5", "1e-400", "0.001")
 YES_NO_CELLS = ("yes", "no", " YES", "No ")
 LABEL_CELLS = ("True.", "False.", "yes", "no", "TRUE", "false..", " no. ")
 TEXT_CELLS = ("KS", " 415 ", "", "382-4657", "650")
-MALFORMED_CELLS = ("n/a", "-1", "nan", "inf", "1e999", "1.5\x00", "12.5", "maybe", "", " ", "y")
+MALFORMED_CELLS = ("n/a", "-1", "nan", "inf", "1e999", "1.5\x00", "12.5", "maybe", "", " ", "y",
+                   "9007199254740992", "9007199254740993")
 
 
 def valid_cell(field):
@@ -478,15 +504,16 @@ def assert_parses_as_per_row(header, rows, lines):
     """parse_table agrees with per_row_parse: kept rows, values (Python
     scalars and table columns, by their bits), warnings and errors."""
     colmap = data.map_header(header, require_label=False)
+    block = data.RowBlock.from_rows(rows, lines, len(header))
     try:
         want, want_kept, want_warnings = per_row_parse(rows, colmap, "in.csv", lines)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as got:
-            data.parse_table(rows, colmap, "in.csv", lines)
+            data.parse_table(block, colmap, "in.csv")
         assert str(got.value) == str(exc)
         return
     with Warnings() as warnings:
-        table = data.parse_table(rows, colmap, "in.csv", lines)
+        table = data.parse_table(block, colmap, "in.csv")
     assert warnings.messages == want_warnings
     assert table.kept.tolist() == want_kept
     assert [typed_values(r) for r in table.records()] == [typed_values(r) for r in want]
@@ -524,17 +551,121 @@ def test_columnar_parse_equals_per_row_parse(csv_rows, fraction):
         assert_parses_as_per_row(*csv_rows)
 
 
+def block_rows(block):
+    return [block.row(i) for i in range(len(block))]
+
+
 def test_blocks_keep_physical_lines_running(tmp_path):
     lines = [HEADER, ROW, "", ROW, '"K', 'S"' + ROW[2:], ROW, "", "", ROW, ROW]
     path = write_lines(tmp_path / "in.csv", lines)
     header, rows, starts = data.read_raw_csv(path)
     assert header == HEADER.split(",") and starts == [2, 4, 5, 7, 10, 11]
+    cells = ROW.split(",")
+    assert block_rows(rows) == [cells] * 2 + [["K\nS"] + cells[1:]] + [cells] * 3
     for size in (1, 2, 4):
-        blocks = list(data.read_csv_blocks(path, size))
-        assert blocks[0] == ([header], [1])
-        assert all(0 < len(rows) <= size for rows, _ in blocks[1:])
-        assert [n for _, ns in blocks[1:] for n in ns] == starts
-        assert [r for rs, _ in blocks[1:] for r in rs] == rows
+        first, *blocks = data.read_csv_blocks(path, size)
+        assert first == header
+        # a block holds the rows of `size` lines, or of more where a quoted cell runs on
+        assert all(0 < len(block) <= size for block in blocks)
+        assert [n for block in blocks for n in block.lines] == starts
+        assert [r for block in blocks for r in block_rows(block)] == block_rows(rows)
+
+
+def csv_reader_rows(path):
+    """The reference reader: csv.reader over the whole file. Returns the
+    header, the non-blank rows and their start lines, or the SchemaError
+    text the file must give."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                return f"{path}: file is empty, expected a header row"
+            rows, lines = [], []
+            start = reader.line_num + 1
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            return f"{path}: line {reader.line_num}: {exc}"
+    return header, rows, lines
+
+
+def read_in_blocks(path, size):
+    """read_csv_blocks in the reference's terms, after checking each block's
+    cell matrix against its rows."""
+    try:
+        header, *blocks = data.read_csv_blocks(path, size)
+    except SchemaError as exc:
+        return str(exc)
+    rows, lines = [], []
+    for block in blocks:
+        assert 0 < len(block) <= size  # rows start on the block's own lines
+        for i, row in enumerate(block_rows(block)):
+            assert block.lengths[i] == len(row)
+            assert block.cells[i].tolist() == (row + [""] * len(header))[:len(header)]
+        rows += block_rows(block)
+        lines += block.lines
+    return header, rows, lines
+
+
+FIELD_LIMIT = 40  # the csv module's field size limit while the property runs
+LINE_TEXT = st.lists(st.sampled_from(
+    ["a", "b1", "\u00e9", " ", ",", ",", '"', "\x00", "\x85", "\u2028", "\x0c",
+     "x" * (FIELD_LIMIT + 5)]), max_size=6).map("".join)
+# cells joined by commas, so that many lines have the header's cell count
+CELLS_LINE = st.lists(st.sampled_from(["a", "b1", "", " ", "\u00e9\x85", "\u2028", "\x0c"]),
+                      min_size=1, max_size=4).map(",".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(header=st.sampled_from(["h1,h2,h3", "h", '"h,1",h2']),
+       lines=st.lists(st.one_of(CELLS_LINE, LINE_TEXT, st.sampled_from(["", ",,", " , ,"])),
+                      max_size=12),
+       ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=13, max_size=13),
+       final_end=st.booleans())
+def test_read_csv_blocks_reads_what_csv_reader_reads(header, lines, ends, final_end):
+    text = "".join(line + end for line, end in zip([header] + lines, ends))
+    if not final_end:
+        text = text[:-len(ends[len(lines)])]
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            want = csv_reader_rows(path)
+            for size in (1, 2, 3, 10**6):
+                assert read_in_blocks(path, size) == want
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("raw", [
+    b"h\n\xff",
+    b"h\n\xc3\xa9\xe2\x82\xac\n\xe2\x82A\n",  # a sequence cut short by "A"
+    b"h\n\xf0\x9f\x98\x80\xf0\x9f\x98",  # a sequence cut short by the end
+    b"h\n" + "\u00e9\u20ac\n".encode() * 5 + b"\xed\xa0\x80\n",  # a surrogate
+])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
+def test_non_utf8_byte_located_across_chunks(tmp_path, raw, chunk):
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        raw.decode("utf-8")
+    at = exc.value.start
+    line = raw.count(b"\n", 0, at) + 1
+    want = f"{path}: not UTF-8 at byte {at} (line {line}): {exc.value.reason}"
+    with mock.patch.object(data, "_UTF8_SCAN_BYTES", chunk):
+        with pytest.raises(SchemaError) as got:
+            data.read_raw_csv(path)
+    assert str(got.value) == want
+
+
+def test_every_character_strip_removes_is_a_blank_character():
+    assert all(c in data._BLANK_CHARS for c in map(chr, range(0x110000)) if c.isspace())
 
 
 def test_every_field_has_exactly_one_role():
@@ -569,17 +700,23 @@ TEXT_VALUES = st.text(
 VALUES_OF_TYPE = {
     str: TEXT_VALUES,
     bool: st.booleans(),
-    int: st.integers(0, 2**53),  # counts parse through float(), exact only up to 2**53
+    int: st.integers(0, data.COUNT_LIMIT - 1),
     float: st.one_of(st.sampled_from([-0.0, 5e-324]),
                      st.floats(min_value=0.0, allow_infinity=False)),
 }
+COUNTS_FROM_LIMIT = st.integers(data.COUNT_LIMIT, 2**64)
 
 
 @st.composite
 def record_lists(draw):
-    """Records drawn field by field from the declared types, all labeled or none."""
+    """Records drawn field by field from the declared types, all labeled or
+    none. In about one list of four a count may also lie at or above
+    COUNT_LIMIT."""
     hints = typing.get_type_hints(data.CustomerRecord)
-    fields = {f: VALUES_OF_TYPE[hints[f]] for f in data.FIELD_NAMES}
+    values = dict(VALUES_OF_TYPE)
+    if draw(st.integers(0, 3)) == 0:
+        values[int] = st.one_of(values[int], COUNTS_FROM_LIMIT)
+    fields = {f: values[hints[f]] for f in data.FIELD_NAMES}
     churn = st.booleans() if draw(st.booleans()) else st.none()
     return draw(st.lists(st.builds(data.CustomerRecord, **fields, churn=churn), max_size=4))
 
@@ -587,9 +724,16 @@ def record_lists(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(records=record_lists())
 def test_write_then_parse_round_trips(records):
+    # counts below COUNT_LIMIT come back exactly; a row with one at or above it
+    # is bad, and with at most four rows any bad row rejects the file
+    over = any(getattr(r, f) >= data.COUNT_LIMIT for r in records for f in data.INT_FIELDS)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.csv")
         data.write_csv(records, path)
+        if over:
+            with pytest.raises(SchemaError, match=r"must be below 2\*\*53, got '"):
+                data.parse_csv(path, require_label=False)
+            return
         back = data.parse_csv(path, require_label=False)
     assert [typed_values(r) for r in back] == [typed_values(r) for r in records]
 
