@@ -157,23 +157,18 @@ def cmd_predict(args) -> int:
 
     # One block at a time; the bad-row policy and the warnings cover the
     # whole file once it is read, before the output replaces --out.
-    n_rows = n_kept = n_unseen = 0
-    bad = []
+    n_kept = n_unseen = 0
     with data.open_atomic(args.out, newline="") as fh:
         fh.write(data.csv_text([header + ["N_churn", "NC_churn"]]))
-        for rows in blocks:
-            table, block_bad = data.parse_block(rows, colmap)
+        for rows, table in data.parse_blocks(args.data, blocks, colmap):
             predicted, confidence, unseen = model.score(trained, table)
             # tolist() first: repr of a numpy float64 is "np.float64(...)"
             fh.write(rows.csv_text(table.kept.tolist(), [
                 f"{'true' if p else 'false'},{c!r}"
                 for p, c in zip(predicted.tolist(), confidence.tolist())
             ]))
-            n_rows += len(rows)
             n_kept += len(table)
             n_unseen += unseen
-            bad += block_bad
-        data.check_bad_rows(args.data, n_rows, n_kept, bad)
         data.warn_unseen(n_unseen)
     log.info("wrote %d predictions to %s", n_kept, args.out)
     return 0

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import re
+import sys
 import typing
 from dataclasses import dataclass, replace
 
@@ -94,8 +95,8 @@ _HEADER_ALIASES = {
 # rejected.
 MAX_BAD_ROW_FRACTION = 0.01
 
-# Physical lines per block read from a CSV file; `predict` parses, scores
-# and writes one block at a time.
+# Physical lines per block read from a CSV file; every command parses one
+# block at a time, and `predict` also scores and writes it before the next.
 BLOCK_ROWS = 1024
 
 # Counts parse through float(), which holds every whole number below 2**53
@@ -241,16 +242,6 @@ class RowBlock:
         cells = _cell_matrix(lengths, width, np.array(even, dtype=object), rows.__getitem__)
         return cls(cells, lengths, list(lines), list(rows))
 
-    @classmethod
-    def join(cls, blocks, width: int) -> RowBlock:
-        """One block of the rows of ``blocks``, in order."""
-        return cls(
-            np.concatenate([np.empty((0, width), dtype=object)] + [b.cells for b in blocks]),
-            np.concatenate([np.empty(0, dtype=np.intp)] + [b.lengths for b in blocks]),
-            [n for b in blocks for n in b.lines],
-            [r for b in blocks for r in b.raw],
-        )
-
     def csv_text(self, indices, tails) -> str:
         """The rows at ``indices`` as CSV text, ``tails[k]`` being the CSV
         text of the cells appended to row ``indices[k]``.
@@ -362,12 +353,11 @@ def read_csv_blocks(path, size: int):
 def read_raw_csv(path):
     """Read the header and all non-blank data rows of a CSV file at once.
 
-    Returns ``(header, rows, lines)``: the blocks of :func:`read_csv_blocks`
-    joined in one RowBlock, and its ``lines``.
+    Returns ``(header, rows, lines)``: the file read by
+    :func:`read_csv_blocks` as one RowBlock, and its ``lines``.
     """
-    blocks = read_csv_blocks(path, BLOCK_ROWS)
-    header = next(blocks)
-    rows = RowBlock.join(list(blocks), len(header))
+    header, *blocks = read_csv_blocks(path, sys.maxsize)
+    rows = blocks[0] if blocks else RowBlock.from_rows([], [], len(header))
     return header, rows, rows.lines
 
 
@@ -507,13 +497,23 @@ def parse_block(rows: RowBlock, colmap: dict[str, int]) -> tuple[CustomerTable, 
     return CustomerTable(columns, churn, kept), bad
 
 
-def check_bad_rows(source, n_rows: int, n_kept: int, bad) -> None:
-    """The bad-row policy over ``n_rows`` data rows, ``bad`` as from parse_block.
+def parse_blocks(source, blocks, colmap: dict[str, int]):
+    """Parse RowBlocks one at a time: yields each as ``(rows, table)``,
+    ``table`` being :func:`parse_block`'s CustomerTable of its good rows.
 
-    If more than MAX_BAD_ROW_FRACTION of the rows are bad, the whole input
-    is rejected with a SchemaError naming the first few lines; otherwise
-    each bad row is logged as a skipped line. ``source`` names the input.
+    After the last block the bad-row policy covers the whole input: if more
+    than MAX_BAD_ROW_FRACTION of its rows are bad, it is rejected with a
+    SchemaError naming the first few lines; otherwise each bad row is logged
+    as a skipped line. ``source`` names the input.
     """
+    n_rows = n_kept = 0
+    bad: list[tuple[int, str]] = []
+    for rows in blocks:
+        table, block_bad = parse_block(rows, colmap)
+        yield rows, table
+        n_rows += len(rows)
+        n_kept += len(table)
+        bad += block_bad
     if n_rows and len(bad) > MAX_BAD_ROW_FRACTION * n_rows:
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
         raise SchemaError(
@@ -524,18 +524,12 @@ def check_bad_rows(source, n_rows: int, n_kept: int, bad) -> None:
     log.info("%s: parsed %d records (%d rows skipped)", source, n_kept, len(bad))
 
 
-def parse_table(rows: RowBlock, colmap: dict[str, int], source) -> CustomerTable:
-    """:func:`parse_block` of all the rows under :func:`check_bad_rows`."""
-    table, bad = parse_block(rows, colmap)
-    check_bad_rows(source, len(rows), len(table), bad)
-    return table
-
-
 def parse_csv(path, require_label: bool = True) -> list[CustomerRecord]:
-    """Parse the churn CSV into records, skipping bad rows as parse_table does."""
-    header, rows, _ = read_raw_csv(path)
-    colmap = map_header(header, require_label=require_label)
-    return parse_table(rows, colmap, path).records()
+    """Parse the churn CSV into records, a block at a time, skipping bad rows
+    as :func:`parse_blocks` does."""
+    blocks = read_csv_blocks(path, BLOCK_ROWS)
+    colmap = map_header(next(blocks), require_label=require_label)
+    return [r for _, table in parse_blocks(path, blocks, colmap) for r in table.records()]
 
 
 @contextlib.contextmanager
@@ -582,8 +576,10 @@ def csv_text(rows) -> str:
 
 
 def write_csv(records, path) -> None:
-    """Write records back out with canonical headers; inverse of parse_csv."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write records back out with canonical headers; inverse of parse_csv.
+
+    ``path`` is replaced only once every record is written."""
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         labeled = any(r.churn is not None for r in records)
         header = list(FIELD_NAMES) + ([LABEL_FIELD] if labeled else [])
@@ -733,13 +729,13 @@ def feature_columns(schema: EncodingSchema) -> dict[str, slice]:
     return columns
 
 
-def encode_features(records, schema: EncodingSchema, warn: bool = True):
+def encode_features(records, schema: EncodingSchema):
     """Encode a CustomerTable, or a sequence of records, field by field.
 
     Gives the same matrix, bit for bit, as stacking ``encode`` of each
     record. Returns ``(matrix, n_unseen)`` where n_unseen tallies
     categorical values that were absent from the training data and encoded
-    as all-zero groups; with ``warn``, :func:`warn_unseen` logs the tally.
+    as all-zero groups; the caller logs it with :func:`warn_unseen`.
     """
     fields = feature_columns(schema)
     if isinstance(records, CustomerTable):
@@ -771,8 +767,6 @@ def encode_features(records, schema: EncodingSchema, warn: bool = True):
                     x = (np.array(values, dtype=float) - lo) / (hi - lo)
                 # min(1.0, max(0.0, x)) as in encode; np.clip would keep -0.0
                 matrix[:, cols.start] = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
-    if warn:
-        warn_unseen(n_unseen)
     return matrix, n_unseen
 
 

@@ -238,7 +238,8 @@ def train(records, config: TrainingConfig) -> TrainedModel:
     schema = data.fit_schema(train_recs)
     x_train, _ = data.encode_features(train_recs, schema)
     t_train = np.array([data.one_hot_target(r.churn) for r in train_recs])
-    x_hold, _ = data.encode_features(hold_recs, schema)
+    x_hold, n_unseen = data.encode_features(hold_recs, schema)
+    data.warn_unseen(n_unseen)  # the training subset's levels are all seen
     y_hold = np.array([r.churn for r in hold_recs], dtype=bool)
 
     searched = _search(x_train, t_train, x_hold, y_hold, config)
@@ -299,7 +300,7 @@ def score(model: TrainedModel, records):
     Returns the predictions, the confidences and the count of unseen
     categorical values, which the caller logs (``data.warn_unseen``).
     """
-    feats, n_unseen = data.encode_features(records, model.schema, warn=False)
+    feats, n_unseen = data.encode_features(records, model.schema)
     return (*decide(forward_batch(model.network, feats)), n_unseen)
 
 
@@ -319,7 +320,8 @@ def evaluate(model: TrainedModel, records) -> EvalReport:
     if any(r.churn is None for r in records):
         raise EvaluationError("evaluation records must carry a churn label")
     actual = np.array([r.churn for r in records], dtype=bool)
-    feats, _ = data.encode_features(records, model.schema)
+    feats, n_unseen = data.encode_features(records, model.schema)
+    data.warn_unseen(n_unseen)
     predicted = predicted_classes(model.network, feats)
 
     tn = int(np.sum(~actual & ~predicted))
@@ -361,7 +363,9 @@ def importance(model: TrainedModel, records, seed: int = 0) -> ImportanceReport:
             "importance measured on only %d records; scores may be noisy", len(records)
         )
     actual = np.array([r.churn for r in records], dtype=bool)
-    feats, _ = data.encode_features(records, model.schema)
+    feats, n_unseen = data.encode_features(records, model.schema)
+    # a shuffle moves a field's values between rows, so this count holds for all
+    data.warn_unseen(n_unseen)
     baseline = float(np.mean(predicted_classes(model.network, feats) == actual))
 
     drops: dict[str, float] = {}

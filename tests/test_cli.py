@@ -359,6 +359,17 @@ class TestPredict:
         assert open(small_csv, "rb").read() == before
 
 
+    def test_confidences_written_to_the_last_bit(self, small_csv, model_file, tmp_path, capsys):
+        out_path = tmp_path / "scored.csv"
+        code, _, _ = run(
+            capsys, "predict", "--data", str(small_csv), "--model", str(model_file),
+            "--out", str(out_path),
+        )
+        assert code == 0
+        lines = out_path.read_text(encoding="utf-8").splitlines()[1:]
+        _, confidence, _ = model.score(model.load_model(model_file), data.parse_csv(small_csv))
+        assert [float(line.rsplit(",", 1)[1]) for line in lines] == confidence.tolist()
+
     def test_label_cells_are_echoed_not_parsed(self, small_records, model_file, tmp_path, capsys):
         csv_path = tmp_path / "unknown_labels.csv"
         data.write_csv(small_records[:200], csv_path)
@@ -446,6 +457,48 @@ class TestPredictBlocks:
         else:
             assert code == 1 and body == b"previous\n"
             assert "8 of 120 rows failed to parse (line 7: " in err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("n_bad", [2, 3])
+def test_bad_row_limit_is_one_percent_of_the_whole_file(
+    small_records, model_file, tmp_path, capsys, caplog, monkeypatch, command, n_bad
+):
+    # 200 rows in blocks of 7 lines: 2 bad rows are 1% and skipped, 3 reject the file
+    monkeypatch.setattr(data, "BLOCK_ROWS", 7)
+    csv_path = tmp_path / "in.csv"
+    data.write_csv(small_records[:200], csv_path)
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    for line_no in (30, 101, 170)[:n_bad]:
+        lines[line_no - 1] = lines[line_no - 1].rsplit(",", 3)[0]
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--data", str(csv_path), "--model", str(model_file)]
+    if command == "predict":
+        argv += ["--out", str(tmp_path / "scored.csv")]
+    with caplog.at_level(logging.INFO):
+        code, _, err = run(capsys, *argv)
+    skipped = [r.getMessage() for r in caplog.records if ": skipped line " in r.getMessage()]
+    if n_bad == 2:
+        assert code == 0, err
+        assert [m.split(": ")[1] for m in skipped] == ["skipped line 30", "skipped line 101"]
+        assert f"{csv_path}: parsed 198 records (2 rows skipped)" in caplog.messages
+    else:
+        assert code == 1 and not skipped
+        assert "3 of 200 rows failed to parse (line 30: " in err
+
+
+def test_evaluate_and_importance_warn_unseen_levels_once(small_records, model_file, tmp_path, capsys, caplog):
+    records = [dataclasses.replace(r, area_code="999") if i in (10, 200) else r
+               for i, r in enumerate(small_records[:300])]
+    csv_path = tmp_path / "unseen.csv"
+    data.write_csv(records, csv_path)
+    for command in ("evaluate", "importance"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            code, _, err = run(capsys, command, "--data", str(csv_path), "--model", str(model_file))
+        assert code == 0, err
+        assert [m for m in caplog.messages if "categorical" in m] == [
+            "2 categorical value(s) unseen at fit time, encoded as zeros"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -500,8 +500,14 @@ def raw_csv(draw):
     return header, rows, list(itertools.accumulate(gaps, initial=1))[1:]
 
 
+def parse_one_block(block, colmap):
+    """The table parse_blocks gives for one block, under its bad-row policy."""
+    ((_, table),) = data.parse_blocks("in.csv", [block], colmap)
+    return table
+
+
 def assert_parses_as_per_row(header, rows, lines):
-    """parse_table agrees with per_row_parse: kept rows, values (Python
+    """parse_blocks agrees with per_row_parse: kept rows, values (Python
     scalars and table columns, by their bits), warnings and errors."""
     colmap = data.map_header(header, require_label=False)
     block = data.RowBlock.from_rows(rows, lines, len(header))
@@ -509,11 +515,11 @@ def assert_parses_as_per_row(header, rows, lines):
         want, want_kept, want_warnings = per_row_parse(rows, colmap, "in.csv", lines)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as got:
-            data.parse_table(block, colmap, "in.csv")
+            parse_one_block(block, colmap)
         assert str(got.value) == str(exc)
         return
     with Warnings() as warnings:
-        table = data.parse_table(block, colmap, "in.csv")
+        table = parse_one_block(block, colmap)
     assert warnings.messages == want_warnings
     assert table.kept.tolist() == want_kept
     assert [typed_values(r) for r in table.records()] == [typed_values(r) for r in want]
@@ -666,6 +672,24 @@ def test_non_utf8_byte_located_across_chunks(tmp_path, raw, chunk):
 
 def test_every_character_strip_removes_is_a_blank_character():
     assert all(c in data._BLANK_CHARS for c in map(chr, range(0x110000)) if c.isspace())
+
+
+def test_interrupted_synthetic_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "churn.csv"
+    path.write_bytes(b"earlier\r\n")
+    calls = itertools.count()
+    to_row = data.record_to_row
+
+    def failing_on_the_third(record, include_label=True):
+        if next(calls) == 2:
+            raise KeyboardInterrupt
+        return to_row(record, include_label)
+
+    with mock.patch.object(data, "record_to_row", failing_on_the_third):
+        with pytest.raises(KeyboardInterrupt):
+            synthetic.main(["--out", str(path), "--n", "5"])
+    assert path.read_bytes() == b"earlier\r\n"
+    assert os.listdir(tmp_path) == ["churn.csv"]
 
 
 def test_every_field_has_exactly_one_role():
